@@ -7,7 +7,7 @@ from .errors import (
     InsufficientHistoryError,
     RowError,
 )
-from .evaluation import MetricsReport, interval_coverage, mae, rmse, run_benchmark
+from .evaluation import MetricsReport, interval_coverage, mae, rmse, run_benchmark, score_runs
 from .inference import (
     PosteriorSamples,
     SamplerConfig,
@@ -50,7 +50,7 @@ from .prediction import (
     mean_baseline,
     naive_baseline,
     predict_event_sequence,
-    predict_next_cdm,
+    runs_at_cutoff,
 )
 from .priors import DEFAULT_PRIOR, GaussianPrior
 

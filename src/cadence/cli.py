@@ -9,30 +9,21 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
 
-from .errors import CadenceError, InsufficientHistoryError
-from .evaluation import MODEL_ORDER, MetricsReport, interval_coverage, mae, rmse
+from .errors import CadenceError
+from .evaluation import MetricsReport, score_runs
 from .inference import SamplerConfig
-from .ingest import ConjunctionEvent, assemble_events, events_to_csv, parse_csv, split_at_cutoff
+from .ingest import ConjunctionEvent, assemble_events, cutoff_time, events_to_csv, parse_csv
 from .intensity import PolynomialIntensity, RidgeConfig, bin_events, fit_ridge, prior_from_fit
-from .point_process import ObservationWindow, simulate_thinning
-from .prediction import (
-    MEAN,
-    NAIVE,
-    NHPP,
-    PredictionRun,
-    mean_baseline,
-    naive_baseline,
-    posterior_for_event,
-    predict_event_sequence,
-)
-from .point_process import mixture_next_arrival
+from .point_process import ArrivalPrediction, ObservationWindow, simulate_thinning
+from .prediction import MEAN, NAIVE, NHPP, PredictionRun, predict_event_sequence, runs_at_cutoff
 from .priors import GaussianPrior
 
 logger = logging.getLogger(__name__)
@@ -47,7 +38,11 @@ EXIT_USAGE = 2
 
 @dataclass(frozen=True)
 class RunConfig:
-    """All tunables shared across subcommands, with their defaults."""
+    """All tunables shared across subcommands, with their defaults.
+
+    Validated once on construction; the sampler and ridge settings are
+    built here too, so their own checks run up front.
+    """
 
     window_days: float = 7.0
     cutoff_days_before_tca: float = 2.5
@@ -62,24 +57,21 @@ class RunConfig:
     clamp_floor: float = 1e-6
 
     def __post_init__(self):
-        positive = (
-            "window_days", "cutoff_days_before_tca", "alpha", "bin_width",
-            "sigma_floor", "clamp_floor",
-        )
-        for name in positive:
-            value = getattr(self, name)
-            if name == "alpha":
-                if value < 0:
-                    raise ValueError("alpha must be non-negative")
-            elif value <= 0:
+        floats = ("window_days", "cutoff_days_before_tca", "alpha", "bin_width",
+                  "sigma_floor", "clamp_floor")
+        for name in floats:
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
+        for name in ("window_days", "cutoff_days_before_tca", "sigma_floor", "clamp_floor"):
+            if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if self.cutoff_days_before_tca >= self.window_days:
             raise ValueError("cutoff must be smaller than the window")
-        if self.degree < 0:
-            raise ValueError("degree must be non-negative")
-        for name in ("chains", "draws", "warmup"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1")
+        # SamplerConfig allows warmup 0; the CLI always adapts the proposal.
+        if self.warmup < 1:
+            raise ValueError("warmup must be at least 1")
+        self.sampler()
+        self.ridge()
 
     def sampler(self) -> SamplerConfig:
         return SamplerConfig(
@@ -134,6 +126,7 @@ def _write_atomic(path: str, text: str):
 
 
 def _days_to_tca(window_days: float, t: float | None) -> float | None:
+    """Window time to days before TCA, and back: the map is its own inverse."""
     return None if t is None else window_days - t
 
 
@@ -221,6 +214,27 @@ def _run_to_json(run: PredictionRun) -> dict:
     return record
 
 
+def _run_from_json(record: dict, window_days: float) -> PredictionRun:
+    """Inverse of ``_run_to_json`` for records written with this window."""
+    w = window_days
+    cutoff = _days_to_tca(w, record["cutoff_days_to_tca"])
+    point = _days_to_tca(w, record["predicted_days_to_tca"])
+    prediction = None
+    if record["model"] == NHPP and "error" not in record:
+        prediction = ArrivalPrediction(
+            cutoff=cutoff, horizon=w - cutoff, censored=record["censored"],
+            point_estimate=point,
+            lower_95=_days_to_tca(w, record["upper95"]),
+            upper_95=_days_to_tca(w, record["lower95"]),
+            mean_estimate=_days_to_tca(w, record.get("predicted_mean_days_to_tca")),
+        )
+    return PredictionRun(
+        event_id=record["event_id"], model=record["model"], cutoff=cutoff, window_days=w,
+        point_estimate=point, prediction=prediction,
+        actual_next=_days_to_tca(w, record["actual_days_to_tca"]), note=record.get("error"),
+    )
+
+
 def cmd_predict(
     config: RunConfig,
     data_csv: str,
@@ -245,67 +259,19 @@ def cmd_predict(
             try:
                 runs = predict_event_sequence(event, prior, config.sampler(),
                                               clamp_floor=config.clamp_floor)
-            except (CadenceError, ValueError) as exc:
+            except CadenceError as exc:
                 runs = [PredictionRun(event_id=event.event_id, model=NHPP,
                                       cutoff=0.0, window_days=event.window_days,
                                       note=str(exc))]
-            lines.extend(json.dumps(_run_to_json(r)) for r in runs)
-            continue
-        lines.extend(
-            json.dumps(_run_to_json(r))
-            for r in _predict_single_cutoff(config, event, prior, dump_posterior)
-        )
+        else:
+            t_c = cutoff_time(event, config.cutoff_days_before_tca)
+            runs, samples = runs_at_cutoff(event, prior, t_c, config.sampler(),
+                                           clamp_floor=config.clamp_floor)
+            if dump_posterior is not None and samples is not None:
+                _dump_posterior_csv(dump_posterior, event.event_id, samples)
+        lines.extend(json.dumps(_run_to_json(r)) for r in runs)
     _write_atomic(out_jsonl, "\n".join(lines) + "\n")
     print(f"wrote {len(lines)} prediction records to {out_jsonl}")
-
-
-def _predict_single_cutoff(
-    config: RunConfig,
-    event: ConjunctionEvent,
-    prior: GaussianPrior,
-    dump_posterior: str | None,
-) -> list[PredictionRun]:
-    cutoff = config.cutoff_days_before_tca
-    t_c = event.window_days - cutoff
-    try:
-        samples, t_c, history, future = posterior_for_event(
-            event, prior, cutoff, config.sampler(), clamp_floor=config.clamp_floor
-        )
-    except (CadenceError, ValueError) as exc:
-        return [
-            PredictionRun(event_id=event.event_id, model=m, cutoff=t_c,
-                          window_days=event.window_days, note=str(exc))
-            for m in MODEL_ORDER
-        ]
-    if dump_posterior is not None:
-        _dump_posterior_csv(dump_posterior, event.event_id, samples)
-    actual = future[0] if future else None
-    horizon = event.window_days - t_c
-    prediction = mixture_next_arrival(
-        samples.flat_draws(), t_c, horizon, clamp_floor=config.clamp_floor
-    )
-    runs = [
-        PredictionRun(
-            event_id=event.event_id, model=NHPP, cutoff=t_c,
-            window_days=event.window_days, point_estimate=prediction.point_estimate,
-            prediction=prediction, actual_next=actual,
-        )
-    ]
-    for name, baseline in ((NAIVE, naive_baseline), (MEAN, mean_baseline)):
-        try:
-            point = baseline(history)
-            runs.append(
-                PredictionRun(event_id=event.event_id, model=name, cutoff=t_c,
-                              window_days=event.window_days, point_estimate=point,
-                              actual_next=actual)
-            )
-        except InsufficientHistoryError as exc:
-            runs.append(
-                PredictionRun(event_id=event.event_id, model=name, cutoff=t_c,
-                              window_days=event.window_days, actual_next=actual,
-                              note=str(exc))
-            )
-    return runs
 
 
 def _dump_posterior_csv(directory: str, event_id: str, samples):
@@ -328,78 +294,28 @@ def _read_runs(runs_jsonl: str) -> list[dict]:
     return rows
 
 
-def metrics_from_rows(rows: list[dict]) -> list[MetricsReport]:
-    """Rebuild the paired benchmark table from prediction JSON lines.
-
-    An event is scored only when all three models produced a prediction,
-    the actual next arrival is known, and the NHPP prediction is not
-    censored; censored or incomplete events are counted separately.
-    """
-    by_event: dict[str, dict[str, dict]] = {}
-    for row in rows:
-        if "error" in row:
-            continue
-        by_event.setdefault(row["event_id"], {})[row["model"]] = row
-
-    actuals = []
-    predictions: dict[str, list[float]] = {m: [] for m in MODEL_ORDER}
-    covered = 0
-    censored = 0
-    for event_rows in by_event.values():
-        if any(m not in event_rows for m in MODEL_ORDER):
-            continue
-        nhpp_row = event_rows[NHPP]
-        if nhpp_row.get("censored") or nhpp_row.get("actual_days_to_tca") is None:
-            censored += 1
-            continue
-        if any(event_rows[m].get("predicted_days_to_tca") is None for m in MODEL_ORDER):
-            censored += 1
-            continue
-        actual = nhpp_row["actual_days_to_tca"]
-        actuals.append(actual)
-        for m in MODEL_ORDER:
-            predictions[m].append(event_rows[m]["predicted_days_to_tca"])
-        lower, upper = nhpp_row.get("lower95"), nhpp_row.get("upper95")
-        if lower is not None and upper is not None and lower <= actual <= upper:
-            covered += 1
-
-    if not actuals:
-        raise CadenceError("zero scorable prediction records")
-    reports = []
-    for model in MODEL_ORDER:
-        reports.append(
-            MetricsReport(
-                model=model,
-                n=len(actuals),
-                mae=mae(actuals, predictions[model]),
-                rmse=rmse(actuals, predictions[model]),
-                coverage95=covered / len(actuals) if model == NHPP else None,
-                censored_count=censored,
-            )
-        )
-    return reports
-
-
 def format_report_table(reports: list[MetricsReport]) -> str:
-    header = f"{'Model':<12}{'N':>6}{'MAE [days]':>14}{'RMSE [days]':>14}{'Coverage95':>12}{'Censored':>10}"
+    header = (f"{'Model':<12}{'N':>6}{'MAE [days]':>14}{'RMSE [days]':>14}{'Coverage95':>12}"
+              f"{'Censored':>10}{'Skipped':>9}")
     lines = [header, "-" * len(header)]
     for r in reports:
         coverage = f"{r.coverage95:.3f}" if r.coverage95 is not None else "-"
         lines.append(
-            f"{r.model:<12}{r.n:>6}{r.mae:>14.4f}{r.rmse:>14.4f}{coverage:>12}{r.censored_count:>10}"
+            f"{r.model:<12}{r.n:>6}{r.mae:>14.4f}{r.rmse:>14.4f}{coverage:>12}"
+            f"{r.censored_count:>10}{r.skipped_count:>9}"
         )
     return "\n".join(lines)
 
 
 def cmd_evaluate(config: RunConfig, runs_jsonl: str, out_json: str):
-    reports = metrics_from_rows(_read_runs(runs_jsonl))
-    payload = [
-        {
-            "model": r.model, "n": r.n, "mae": r.mae, "rmse": r.rmse,
-            "coverage95": r.coverage95, "censored_count": r.censored_count,
-        }
-        for r in reports
-    ]
+    runs = []
+    for i, record in enumerate(_read_runs(runs_jsonl), start=1):
+        try:
+            runs.append(_run_from_json(record, config.window_days))
+        except (KeyError, TypeError) as exc:
+            raise CadenceError(f"{runs_jsonl}: malformed prediction record {i}: {exc!r}") from exc
+    reports = score_runs(runs)
+    payload = [asdict(r) for r in reports]
     _write_atomic(out_json, json.dumps(payload, indent=2) + "\n")
     print(format_report_table(reports))
 
@@ -466,10 +382,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--prior", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--sequence", action="store_true",
-                   help="predict every arrival from the ones before it")
-    p.add_argument("--dump-posterior", metavar="DIR",
-                   help="write per-event posterior draws as CSV into DIR")
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--sequence", action="store_true",
+                      help="predict every arrival from the ones before it")
+    mode.add_argument("--dump-posterior", metavar="DIR",
+                      help="write per-event posterior draws as CSV into DIR "
+                           "(fixed cutoff only; a usage error with --sequence)")
     _add_config_flags(p)
 
     p = sub.add_parser("evaluate", help="compute MAE/RMSE/coverage from prediction output")

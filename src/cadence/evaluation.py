@@ -1,28 +1,14 @@
 """MAE/RMSE metrics, interval coverage, and the paired benchmark harness."""
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientHistoryError
 from .inference import SamplerConfig
-from .ingest import ConjunctionEvent, split_at_cutoff
-from .prediction import (
-    MEAN,
-    NAIVE,
-    NHPP,
-    PredictionRun,
-    mean_baseline,
-    naive_baseline,
-    predict_next_cdm,
-)
+from .ingest import ConjunctionEvent, cutoff_time
+from .prediction import MEAN, MODEL_ORDER, NAIVE, NHPP, PredictionRun, runs_at_cutoff
 from .priors import GaussianPrior
-
-logger = logging.getLogger(__name__)
-
-MODEL_ORDER = (NHPP, NAIVE, MEAN)
 
 
 @dataclass(frozen=True)
@@ -35,6 +21,7 @@ class MetricsReport:
     rmse: float
     coverage95: float | None = None
     censored_count: int = 0
+    skipped_count: int = 0
 
 
 def mae(actuals: list[float], predictions: list[float]) -> float:
@@ -84,6 +71,51 @@ def interval_coverage(runs: list[PredictionRun]) -> float:
     return hits / len(scorable)
 
 
+def score_runs(runs: list[PredictionRun]) -> list[MetricsReport]:
+    """Score all three models on one paired set of (event, cutoff) groups.
+
+    A group is scored when all three models have a point estimate, the
+    actual next arrival is known and the NHPP prediction is not censored.
+    A group with an errored or missing run is skipped; otherwise a
+    censored NHPP prediction or an unknown actual counts as censored.
+    Every model reports the same counts.  Reports come back in
+    nhpp/naive/mean order.
+    """
+    groups: dict[tuple[str, float], dict[str, PredictionRun]] = {}
+    for run in runs:
+        groups.setdefault((run.event_id, run.cutoff), {})[run.model] = run
+    scored: list[dict[str, PredictionRun]] = []
+    censored = skipped = 0
+    for group in groups.values():
+        if any(m not in group or group[m].note is not None for m in MODEL_ORDER) \
+                or None in (group[NAIVE].point_estimate, group[MEAN].point_estimate):
+            skipped += 1
+        elif group[NHPP].point_estimate is None or group[NHPP].actual_next is None:
+            censored += 1
+        else:
+            scored.append(group)
+    if not scored:
+        raise ValueError("zero scorable (event, cutoff) groups")
+
+    actuals = [g[NHPP].actual_next for g in scored]
+    coverage = interval_coverage([g[NHPP] for g in scored])
+    reports = []
+    for model in MODEL_ORDER:
+        points = [g[model].point_estimate for g in scored]
+        reports.append(
+            MetricsReport(
+                model=model,
+                n=len(scored),
+                mae=mae(actuals, points),
+                rmse=rmse(actuals, points),
+                coverage95=coverage if model == NHPP else None,
+                censored_count=censored,
+                skipped_count=skipped,
+            )
+        )
+    return reports
+
+
 def run_benchmark(
     events: list[ConjunctionEvent],
     prior: GaussianPrior,
@@ -91,71 +123,9 @@ def run_benchmark(
     sampler: SamplerConfig,
     clamp_floor: float = 1e-6,
 ) -> list[MetricsReport]:
-    """Score all three models on the same events at a fixed cutoff.
-
-    The scoring set is identical across models: an event is scored only
-    when its history holds >= 2 arrivals, a post-cutoff arrival exists
-    (otherwise it counts as censored ground truth), and the NHPP
-    prediction is not censored.  Reports come back in nhpp/naive/mean
-    order.
-    """
-    nhpp_runs: list[PredictionRun] = []
-    predictions: dict[str, list[float]] = {m: [] for m in MODEL_ORDER}
-    actuals: list[float] = []
-    ground_truth_censored = 0
-    model_censored = 0
-
+    """Predict every event at a fixed cutoff and score the runs."""
+    runs = []
     for event in events:
-        try:
-            history, future = split_at_cutoff(event, cutoff_days_before_tca)
-        except InsufficientHistoryError:
-            logger.warning("event %s: empty history, skipped", event.event_id)
-            continue
-        if len(history) < 2:
-            logger.warning("event %s: fewer than 2 history arrivals, skipped", event.event_id)
-            continue
-        if not future:
-            ground_truth_censored += 1
-            continue
-        prediction = predict_next_cdm(
-            event, prior, cutoff_days_before_tca, sampler, clamp_floor=clamp_floor
-        )
-        if prediction.censored:
-            model_censored += 1
-            continue
-        actual = future[0]
-        actuals.append(actual)
-        predictions[NHPP].append(prediction.point_estimate)
-        predictions[NAIVE].append(naive_baseline(history))
-        predictions[MEAN].append(mean_baseline(history))
-        nhpp_runs.append(
-            PredictionRun(
-                event_id=event.event_id, model=NHPP,
-                cutoff=event.window_days - cutoff_days_before_tca,
-                window_days=event.window_days,
-                point_estimate=prediction.point_estimate,
-                prediction=prediction, actual_next=actual,
-            )
-        )
-
-    if not actuals:
-        raise ValueError("zero scorable events")
-
-    reports = []
-    for model in MODEL_ORDER:
-        censored = ground_truth_censored
-        coverage = None
-        if model == NHPP:
-            censored += model_censored
-            coverage = interval_coverage(nhpp_runs)
-        reports.append(
-            MetricsReport(
-                model=model,
-                n=len(actuals),
-                mae=mae(actuals, predictions[model]),
-                rmse=rmse(actuals, predictions[model]),
-                coverage95=coverage,
-                censored_count=censored,
-            )
-        )
-    return reports
+        runs += runs_at_cutoff(event, prior, cutoff_time(event, cutoff_days_before_tca),
+                               sampler, clamp_floor=clamp_floor)[0]
+    return score_runs(runs)

@@ -2,8 +2,10 @@
 
 Gaussian priors combined with the exact NHPP likelihood of the pre-cutoff
 history give the per-event log-posterior; an adaptive random-walk
-Metropolis sampler draws from it across several independent chains, and
-split R-hat / effective sample size diagnostics gate the result.
+Metropolis sampler draws from it across several independent chains.
+Split R-hat and effective sample size are computed for every
+coefficient; callers gate on R-hat alone (see ``prediction``), and ESS
+is reported only.
 """
 from __future__ import annotations
 

@@ -206,9 +206,18 @@ def split_at_cutoff(
     event: ConjunctionEvent, cutoff_days_before_tca: float
 ) -> tuple[list[float], list[float]]:
     """Partition arrivals at t_c = window_days - cutoff (boundary into history)."""
+    return split_at_time(event, cutoff_time(event, cutoff_days_before_tca))
+
+
+def cutoff_time(event: ConjunctionEvent, cutoff_days_before_tca: float) -> float:
+    """Window time t_c of a cutoff given in days before TCA."""
     if not 0.0 < cutoff_days_before_tca < event.window_days:
         raise ValueError("cutoff must lie strictly inside the window")
-    t_c = event.window_days - cutoff_days_before_tca
+    return event.window_days - cutoff_days_before_tca
+
+
+def split_at_time(event: ConjunctionEvent, t_c: float) -> tuple[list[float], list[float]]:
+    """Partition arrivals at window time t_c (boundary into history)."""
     history = [t for t in event.arrivals if t <= t_c]
     future = [t for t in event.arrivals if t > t_c]
     if not history:

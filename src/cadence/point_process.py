@@ -99,14 +99,10 @@ def simulate_thinning(
         t += rng.exponential(1.0 / lam_max)
         if t > window.end:
             break
-        accept_prob = min(eval_ratio(model, t, lam_max), 1.0)
+        accept_prob = min(float(intensity_on_grid(model, np.asarray(t))) / lam_max, 1.0)
         if rng.uniform() < accept_prob:
             arrivals.append(t)
     return arrivals
-
-
-def eval_ratio(model: PolynomialIntensity, t: float, lam_max: float) -> float:
-    return float(intensity_on_grid(model, np.asarray(t))) / lam_max
 
 
 def next_arrival_survival(model: PolynomialIntensity, t_c: float, u: float) -> float:

@@ -4,9 +4,9 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 
-from .errors import DiagnosticsError, InsufficientHistoryError
+from .errors import CadenceError, DiagnosticsError, InsufficientHistoryError
 from .inference import PosteriorSamples, SamplerConfig, make_log_posterior, sample_posterior
-from .ingest import ConjunctionEvent, split_at_cutoff
+from .ingest import ConjunctionEvent, split_at_time
 from .point_process import ArrivalPrediction, mixture_next_arrival
 from .priors import GaussianPrior
 
@@ -17,6 +17,7 @@ RHAT_THRESHOLD = 1.05
 NHPP = "nhpp"
 NAIVE = "naive"
 MEAN = "mean"
+MODEL_ORDER = (NHPP, NAIVE, MEAN)
 
 
 @dataclass(frozen=True)
@@ -38,56 +39,69 @@ class PredictionRun:
 
 
 def posterior_for_event(
-    event: ConjunctionEvent,
+    event_id: str,
     prior: GaussianPrior,
-    cutoff_days_before_tca: float,
+    history: list[float],
+    t_c: float,
     sampler: SamplerConfig,
     clamp_floor: float = 1e-6,
     strict_diagnostics: bool = False,
-) -> tuple[PosteriorSamples, float, list[float], list[float]]:
-    """Sample the coefficient posterior conditioned on pre-cutoff history.
+) -> PosteriorSamples:
+    """Sample the coefficient posterior given the history observed on [0, t_c].
 
-    Returns (samples, t_c, history, future).  Samples whose split R-hat
-    exceeds the gate threshold trigger a warning, or a DiagnosticsError
-    when strict.
+    Samples whose split R-hat exceeds the gate threshold trigger a
+    warning, or a DiagnosticsError when strict.
     """
-    history, future = split_at_cutoff(event, cutoff_days_before_tca)
-    t_c = event.window_days - cutoff_days_before_tca
     density = make_log_posterior(prior, history, t_c, clamp_floor=clamp_floor)
     samples = sample_posterior(density, prior.mu, prior.sigma, sampler)
-    _check_diagnostics(event.event_id, samples, strict_diagnostics)
-    return samples, t_c, history, future
-
-
-def _check_diagnostics(event_id: str, samples: PosteriorSamples, strict: bool):
     worst = max(samples.r_hat)
     if worst > RHAT_THRESHOLD:
         message = f"event {event_id}: split R-hat {worst:.3f} exceeds {RHAT_THRESHOLD}"
-        if strict:
+        if strict_diagnostics:
             raise DiagnosticsError(message)
         logger.warning("%s; using samples anyway", message)
+    return samples
 
 
-def predict_next_cdm(
+def runs_at_cutoff(
     event: ConjunctionEvent,
     prior: GaussianPrior,
-    cutoff_days_before_tca: float,
+    t_c: float,
     sampler: SamplerConfig,
     clamp_floor: float = 1e-6,
     strict_diagnostics: bool = False,
-) -> ArrivalPrediction:
-    """Predict the next CDM after the cutoff with a 95% credible interval.
+) -> tuple[list[PredictionRun], PosteriorSamples | None]:
+    """The NHPP, naive and mean runs for one event at window time ``t_c``.
 
-    Composes the cutoff split, posterior sampling over the history on
-    [0, t_c], and the posterior-mixture next-arrival quantiles with
-    horizon equal to the time remaining to the TCA.
+    Arrivals at or before ``t_c`` form the history; the first one after it
+    is the actual.  The NHPP model predicts over the horizon to the TCA.
+    Returns the runs in MODEL_ORDER and the posterior samples behind the
+    NHPP prediction.  When that prediction fails, all three runs carry the
+    error and the samples are None; a baseline short of history carries
+    its own error.
     """
-    samples, t_c, _, _ = posterior_for_event(
-        event, prior, cutoff_days_before_tca, sampler,
-        clamp_floor=clamp_floor, strict_diagnostics=strict_diagnostics,
-    )
-    horizon = event.window_days - t_c
-    return mixture_next_arrival(samples.flat_draws(), t_c, horizon, clamp_floor=clamp_floor)
+    def run(model, **values):
+        return PredictionRun(event_id=event.event_id, model=model, cutoff=t_c,
+                             window_days=event.window_days, **values)
+
+    try:
+        history, future = split_at_time(event, t_c)
+        samples = posterior_for_event(event.event_id, prior, history, t_c, sampler,
+                                      clamp_floor=clamp_floor,
+                                      strict_diagnostics=strict_diagnostics)
+        prediction = mixture_next_arrival(samples.flat_draws(), t_c,
+                                          event.window_days - t_c, clamp_floor=clamp_floor)
+    except (CadenceError, ValueError) as exc:
+        return [run(m, note=str(exc)) for m in MODEL_ORDER], None
+    actual = future[0] if future else None
+    runs = [run(NHPP, point_estimate=prediction.point_estimate, prediction=prediction,
+                actual_next=actual)]
+    for name, baseline in ((NAIVE, naive_baseline), (MEAN, mean_baseline)):
+        try:
+            runs.append(run(name, point_estimate=baseline(history), actual_next=actual))
+        except InsufficientHistoryError as exc:
+            runs.append(run(name, actual_next=actual, note=str(exc)))
+    return runs, samples
 
 
 def naive_baseline(history: list[float]) -> float:
@@ -119,51 +133,13 @@ def predict_event_sequence(
     arrivals are in hand.  The realized next arrival is attached for
     evaluation.
     """
-    arrivals = list(event.arrivals)
+    arrivals = event.arrivals
     if len(arrivals) < 2:
         raise InsufficientHistoryError("sequence prediction needs at least 2 arrivals")
     runs: list[PredictionRun] = []
-    for i in range(1, len(arrivals)):
-        t_c = arrivals[i - 1]
-        history = arrivals[:i]
-        actual = arrivals[i]
-        horizon = event.window_days - t_c
-        if horizon <= 0:
+    for t_c in arrivals[:-1]:
+        if event.window_days - t_c <= 0:
             break
-        density = make_log_posterior(prior, history, t_c, clamp_floor=clamp_floor)
-        samples = sample_posterior(density, prior.mu, prior.sigma, sampler)
-        _check_diagnostics(event.event_id, samples, strict_diagnostics)
-        prediction = mixture_next_arrival(
-            samples.flat_draws(), t_c, horizon, clamp_floor=clamp_floor
-        )
-        runs.append(
-            PredictionRun(
-                event_id=event.event_id,
-                model=NHPP,
-                cutoff=t_c,
-                window_days=event.window_days,
-                point_estimate=prediction.point_estimate,
-                prediction=prediction,
-                actual_next=actual,
-            )
-        )
-        for name, baseline in ((NAIVE, naive_baseline), (MEAN, mean_baseline)):
-            try:
-                point = baseline(history)
-            except InsufficientHistoryError as exc:
-                runs.append(
-                    PredictionRun(
-                        event_id=event.event_id, model=name, cutoff=t_c,
-                        window_days=event.window_days, actual_next=actual,
-                        note=str(exc),
-                    )
-                )
-                continue
-            runs.append(
-                PredictionRun(
-                    event_id=event.event_id, model=name, cutoff=t_c,
-                    window_days=event.window_days, point_estimate=point,
-                    actual_next=actual,
-                )
-            )
+        runs += runs_at_cutoff(event, prior, t_c, sampler, clamp_floor=clamp_floor,
+                               strict_diagnostics=strict_diagnostics)[0]
     return runs

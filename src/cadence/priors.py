@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 
@@ -15,6 +16,8 @@ class GaussianPrior:
     def __post_init__(self):
         if len(self.mu) != len(self.sigma):
             raise ValueError("mu and sigma must have the same length")
+        if not all(math.isfinite(v) for v in self.mu + self.sigma):
+            raise ValueError("mu and sigma must be finite")
         if any(s <= 0 for s in self.sigma):
             raise ValueError("all sigma must be positive")
 

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from cadence.cli import main
+from cadence.evaluation import run_benchmark
+from cadence.inference import SamplerConfig
 from cadence.ingest import assemble_events, parse_csv
 from cadence.priors import GaussianPrior
 
@@ -133,6 +135,110 @@ class TestPredictAndEvaluate:
         rows = [json.loads(line) for line in out.read_text().splitlines()]
         assert all("error" in r for r in rows)
 
+    def test_sequence_with_dump_posterior_is_usage_error(self, pipeline, tmp_path):
+        dump = tmp_path / "dump"
+        with pytest.raises(SystemExit) as err:
+            run_cli("predict", "--data", str(pipeline / "data.csv"),
+                    "--prior", str(pipeline / "prior.json"), "--out", str(tmp_path / "x.jsonl"),
+                    "--sequence", "--dump-posterior", str(dump), *FAST)
+        assert err.value.code == 2
+        assert not dump.exists()
+
+
+def record(event_id, model, predicted, actual, cutoff=2.5, **extra):
+    """One prediction JSON line in days-to-TCA coordinates."""
+    row = {"event_id": event_id, "model": model, "cutoff_days_to_tca": cutoff,
+           "predicted_days_to_tca": predicted, "lower95": None, "upper95": None,
+           "censored": False, "actual_days_to_tca": actual}
+    row.update(extra)
+    return row
+
+
+def evaluate_rows(tmp_path, rows):
+    runs = tmp_path / "runs.jsonl"
+    runs.write_text("".join(json.dumps(r) + "\n" for r in rows))
+    out = tmp_path / "report.json"
+    assert run_cli("evaluate", "--runs", str(runs), "--out", str(out)) == 0
+    return {entry["model"]: entry for entry in json.loads(out.read_text())}
+
+
+class TestEvaluateScoring:
+    def test_open_upper_bound_counts_covered(self, tmp_path):
+        # The 0.025 survival quantile lies past the TCA, so lower95 (the
+        # later time) is absent; the actual is after the earlier bound.
+        rows = [
+            record("E1", "nhpp", 1.5, 1.0, lower95=None, upper95=2.3),
+            record("E1", "naive", 1.8, 1.0),
+            record("E1", "mean", 1.6, 1.0),
+        ]
+        report = evaluate_rows(tmp_path, rows)
+        assert report["nhpp"]["n"] == 1
+        assert report["nhpp"]["coverage95"] == 1.0
+
+    def test_baseline_error_counted_skipped(self, tmp_path):
+        rows = [
+            record("E1", "nhpp", 1.5, 1.0, upper95=2.3),
+            record("E1", "naive", 1.8, 1.0),
+            record("E1", "mean", 1.6, 1.0),
+            record("E2", "nhpp", 1.5, 1.0, upper95=2.3),
+            record("E2", "naive", None, 1.0, error="naive baseline needs at least 2 arrivals"),
+            record("E2", "mean", None, 1.0, error="mean baseline needs at least 2 arrivals"),
+        ]
+        report = evaluate_rows(tmp_path, rows)
+        for entry in report.values():
+            assert (entry["n"], entry["censored_count"], entry["skipped_count"]) == (1, 0, 1)
+
+    def test_truncated_record_is_runtime_error(self, tmp_path, capsys):
+        rows = [record("E1", "nhpp", 1.5, 1.0, upper95=2.3), record("E1", "naive", 1.8, 1.0)]
+        del rows[1]["actual_days_to_tca"]
+        runs = tmp_path / "runs.jsonl"
+        runs.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        out = tmp_path / "report.json"
+        assert run_cli("evaluate", "--runs", str(runs), "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert "malformed prediction record 2" in err and "actual_days_to_tca" in err
+        assert not out.exists()
+
+    def test_sequence_output_scores_every_cutoff(self, pipeline, tmp_path):
+        runs = tmp_path / "seq.jsonl"
+        data = tmp_path / "three.csv"
+        lines = (pipeline / "data.csv").read_text().splitlines()
+        ids = sorted({line.split(",")[0] for line in lines[1:]})[:3]
+        data.write_text("\n".join([lines[0]] + [l for l in lines[1:] if l.split(",")[0] in ids]) + "\n")
+        assert run_cli("predict", "--data", str(data), "--prior", str(pipeline / "prior.json"),
+                       "--out", str(runs), "--sequence", *FAST) == 0
+        groups = {}
+        for line in runs.read_text().splitlines():
+            row = json.loads(line)
+            groups.setdefault((row["event_id"], row["cutoff_days_to_tca"]), []).append(row)
+        scorable = [
+            g for g in groups.values()
+            if len(g) == 3 and not any("error" in r for r in g)
+            and not any(r["censored"] for r in g) and g[0]["actual_days_to_tca"] is not None
+        ]
+        out = tmp_path / "report.json"
+        assert run_cli("evaluate", "--runs", str(runs), "--out", str(out)) == 0
+        report = json.loads(out.read_text())
+        assert len(scorable) > len(ids)
+        for entry in report:
+            assert entry["n"] == len(scorable)
+            assert entry["n"] + entry["censored_count"] + entry["skipped_count"] == len(groups)
+
+    def test_library_and_cli_tables_agree(self, pipeline):
+        events = assemble_events(parse_csv((pipeline / "data.csv").read_bytes()), 7.0)
+        prior = GaussianPrior.from_json((pipeline / "prior.json").read_text())
+        sampler = SamplerConfig(chains=2, draws=200, warmup=200, seed=17)
+        library = run_benchmark(events, prior, 2.5, sampler)
+        cli = json.loads((pipeline / "report.json").read_text())
+        assert [entry["model"] for entry in cli] == [r.model for r in library]
+        for mine, theirs in zip(library, cli):
+            assert theirs["n"] == mine.n
+            assert theirs["mae"] == pytest.approx(mine.mae, rel=0, abs=1e-12)
+            assert theirs["rmse"] == pytest.approx(mine.rmse, rel=0, abs=1e-12)
+            assert theirs["coverage95"] == mine.coverage95
+            assert theirs["censored_count"] == mine.censored_count
+            assert theirs["skipped_count"] == mine.skipped_count
+
 
 class TestPlotData:
     def test_sequence_counting_contract(self, tmp_path):
@@ -201,6 +307,17 @@ class TestConfigResolution:
             run_cli("simulate", "--n-events", "1", "--beta", "1,0",
                     "--out", str(tmp_path / "x.csv"), "--cutoff", "9.0")
         assert err.value.code == 2
+
+    @pytest.mark.parametrize("flag", [("--chains", "1"), ("--clamp-floor", "nan"),
+                                      ("--alpha", "inf"), ("--warmup", "0")])
+    def test_bad_setting_is_usage_error(self, tmp_path, flag):
+        # Rejected before any file is read or written.
+        with pytest.raises(SystemExit) as err:
+            run_cli("predict", "--data", str(tmp_path / "data.csv"),
+                    "--prior", str(tmp_path / "prior.json"),
+                    "--out", str(tmp_path / "runs.jsonl"), *flag)
+        assert err.value.code == 2
+        assert not (tmp_path / "runs.jsonl").exists()
 
     def test_help_available(self, capsys):
         for command in ("simulate", "fit-prior", "predict", "evaluate", "plot-data"):

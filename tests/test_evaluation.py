@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from cadence.evaluation import interval_coverage, mae, rmse, run_benchmark
+from cadence.evaluation import interval_coverage, mae, rmse, run_benchmark, score_runs
 from cadence.inference import SamplerConfig
 from cadence.ingest import ConjunctionEvent
 from cadence.intensity import PolynomialIntensity
@@ -116,6 +116,48 @@ class TestIntervalCoverage:
         assert interval_coverage(runs) == 0.0
 
 
+def paired_runs(event_id, cutoff, actual, nhpp=None, naive=0.0, mean=0.0, censored=False):
+    """One (event, cutoff) group; a None baseline value carries an error."""
+    prediction = ArrivalPrediction(
+        cutoff=cutoff, horizon=10.0 - cutoff, censored=censored,
+        point_estimate=None if censored else nhpp,
+        lower_95=cutoff, upper_95=cutoff + 5.0,
+    )
+    runs = [PredictionRun(event_id, "nhpp", cutoff, 10.0, prediction.point_estimate,
+                          prediction, actual)]
+    for model, value in (("naive", naive), ("mean", mean)):
+        note = "needs at least 2 arrivals" if value is None else None
+        runs.append(PredictionRun(event_id, model, cutoff, 10.0, value, None, actual, note))
+    return runs
+
+
+class TestScoreRuns:
+    def test_groups_by_event_and_cutoff(self):
+        runs = (
+            paired_runs("E1", 1.0, 2.0, nhpp=2.5, naive=3.0, mean=2.0)
+            + paired_runs("E1", 2.0, 3.0, nhpp=3.0, naive=3.0, mean=4.0)
+            + paired_runs("E1", 3.0, None, nhpp=4.0)  # unknown actual
+            + paired_runs("E2", 1.0, 2.0, censored=True)
+            + paired_runs("E2", 2.0, 3.0, nhpp=3.0, naive=None)  # baseline error
+        )
+        reports = score_runs(runs)
+        assert [r.model for r in reports] == ["nhpp", "naive", "mean"]
+        assert [(r.n, r.censored_count, r.skipped_count) for r in reports] == [(2, 2, 1)] * 3
+        assert [r.mae for r in reports] == pytest.approx([0.25, 0.5, 0.5])
+        assert reports[0].coverage95 == 1.0
+
+    def test_nhpp_error_skips_the_group(self):
+        runs = paired_runs("E1", 1.0, 2.0, nhpp=2.0)
+        failed = [PredictionRun("E2", m, 1.0, 10.0, note="sampler failed")
+                  for m in ("nhpp", "naive", "mean")]
+        reports = score_runs(runs + failed)
+        assert reports[0].n == 1 and reports[0].skipped_count == 1
+
+    def test_zero_scorable_errors(self):
+        with pytest.raises(ValueError, match="zero scorable"):
+            score_runs(paired_runs("E1", 1.0, None, nhpp=2.0))
+
+
 class TestRunBenchmark:
     def make_events(self, beta, n, window=7.0, seed0=500):
         truth = PolynomialIntensity(tuple(beta))
@@ -160,3 +202,22 @@ class TestRunBenchmark:
         sampler = SamplerConfig(chains=2, draws=200, warmup=200, seed=2)
         with pytest.raises(ValueError, match="zero scorable"):
             run_benchmark(events, prior, 2.5, sampler)
+
+    def test_short_history_is_skipped(self):
+        # S1 has a single arrival before the 4.5-day cutoff: no baselines.
+        events = [
+            ConjunctionEvent("G1", TCA, 7.0, (1.0, 2.0, 3.0, 4.0, 5.0)),
+            ConjunctionEvent("S1", TCA, 7.0, (4.0, 5.0)),
+        ]
+        prior = GaussianPrior(mu=(1.0, 0.0, 0.0, 0.0), sigma=(0.5, 0.1, 0.05, 0.01))
+        sampler = SamplerConfig(chains=2, draws=200, warmup=200, seed=1)
+        reports = run_benchmark(events, prior, 2.5, sampler)
+        assert [(r.n, r.skipped_count) for r in reports] == [(1, 1)] * 3
+
+    @pytest.mark.parametrize("cutoff", [0.0, -1.0, 7.0, 9.0])
+    def test_cutoff_outside_window_rejected(self, cutoff):
+        events = [ConjunctionEvent("G1", TCA, 7.0, (1.0, 2.0, 3.0, 4.0, 5.0))]
+        prior = GaussianPrior(mu=(1.0, 0.0, 0.0, 0.0), sigma=(0.5, 0.1, 0.05, 0.01))
+        sampler = SamplerConfig(chains=2, draws=200, warmup=200, seed=1)
+        with pytest.raises(ValueError, match="strictly inside the window"):
+            run_benchmark(events, prior, cutoff, sampler)

@@ -224,3 +224,10 @@ class TestPriorSerialization:
         text = DEFAULT_PRIOR.to_json()
         assert GaussianPrior.from_json(text) == DEFAULT_PRIOR
         assert '"degree": 3' in text
+
+    def test_non_finite_values_rejected(self):
+        from cadence.priors import GaussianPrior
+
+        text = '{"degree": 1, "mu": [NaN, 0.0], "sigma": [1.0, Infinity]}'
+        with pytest.raises(ValueError, match="finite"):
+            GaussianPrior.from_json(text)

@@ -15,7 +15,7 @@ from cadence.prediction import (
     mean_baseline,
     naive_baseline,
     predict_event_sequence,
-    predict_next_cdm,
+    runs_at_cutoff,
 )
 from cadence.priors import GaussianPrior
 
@@ -25,6 +25,12 @@ SMALL_SAMPLER = SamplerConfig(chains=2, draws=300, warmup=300, seed=0)
 
 def make_event(arrivals, window=7.0, event_id="E1"):
     return ConjunctionEvent(event_id, TCA, window, tuple(arrivals))
+
+
+def nhpp_at_cutoff(event, prior, cutoff=2.5):
+    """The NHPP run at ``cutoff`` days before the TCA."""
+    runs, _ = runs_at_cutoff(event, prior, event.window_days - cutoff, SMALL_SAMPLER)
+    return runs[0]
 
 
 class TestNaiveBaseline:
@@ -64,6 +70,8 @@ class TestBaselineProperties:
 
 
 class TestPredictNextCdm:
+    """Next-CDM prediction at the fixed 2.5-day cutoff, via runs_at_cutoff."""
+
     def test_constant_rate_median(self):
         # Near-degenerate posterior at lambda = 2: the waiting-time median
         # is ln(2) / 2 past the cutoff.
@@ -73,7 +81,7 @@ class TestPredictNextCdm:
         prior = GaussianPrior(
             mu=(2.0, 0.0, 0.0, 0.0), sigma=(1e-4, 1e-4, 1e-4, 1e-4)
         )
-        prediction = predict_next_cdm(event, prior, 2.5, SMALL_SAMPLER)
+        prediction = nhpp_at_cutoff(event, prior).prediction
         t_c = 4.5
         assert not prediction.censored
         assert prediction.point_estimate == pytest.approx(t_c + math.log(2) / 2, abs=0.05)
@@ -81,38 +89,44 @@ class TestPredictNextCdm:
     def test_no_history_errors(self):
         event = make_event([5.0, 6.0])  # both after the 4.5-day cutoff
         prior = GaussianPrior((1.0,), (0.5,))
-        with pytest.raises(InsufficientHistoryError):
-            predict_next_cdm(event, prior, 2.5, SMALL_SAMPLER)
+        runs, samples = runs_at_cutoff(event, prior, 4.5, SMALL_SAMPLER)
+        assert samples is None
+        assert [r.model for r in runs] == ["nhpp", "naive", "mean"]
+        assert all("no arrivals at or before the cutoff" in r.note for r in runs)
 
     def test_negative_rate_prior_censors(self):
         event = make_event([1.0, 2.0])
         prior = GaussianPrior(
             mu=(-5.0, 0.0, 0.0, 0.0), sigma=(1e-6, 1e-6, 1e-6, 1e-6)
         )
-        prediction = predict_next_cdm(event, prior, 2.5, SMALL_SAMPLER)
+        prediction = nhpp_at_cutoff(event, prior).prediction
         assert prediction.censored
         assert prediction.point_estimate is None
 
     def test_prediction_strictly_after_cutoff(self):
         truth = PolynomialIntensity((1.5, 0.2, 0.0, 0.0))
         prior = GaussianPrior((1.5, 0.2, 0.0, 0.0), (0.5, 0.2, 0.05, 0.01))
+        checked = 0
         for seed in range(5):
             arrivals = simulate_thinning(truth, ObservationWindow(0.0, 7.0), 100 + seed)
-            try:
-                event = make_event(arrivals)
-                prediction = predict_next_cdm(event, prior, 2.5, SMALL_SAMPLER)
-            except InsufficientHistoryError:
+            run = nhpp_at_cutoff(make_event(arrivals), prior)
+            if run.note is not None:
+                # Only a seed with no history may be skipped.
+                assert "no arrivals at or before the cutoff" in run.note
                 continue
+            prediction = run.prediction
             if not prediction.censored:
                 assert prediction.point_estimate > 4.5
+                checked += 1
+        assert checked > 0
 
     def test_pipeline_determinism(self):
         truth = PolynomialIntensity((1.5, 0.1, 0.0, 0.0))
         arrivals = simulate_thinning(truth, ObservationWindow(0.0, 7.0), 33)
         event = make_event(arrivals)
         prior = GaussianPrior((1.5, 0.1, 0.0, 0.0), (0.5, 0.2, 0.05, 0.01))
-        first = predict_next_cdm(event, prior, 2.5, SMALL_SAMPLER)
-        second = predict_next_cdm(event, prior, 2.5, SMALL_SAMPLER)
+        first = nhpp_at_cutoff(event, prior)
+        second = nhpp_at_cutoff(event, prior)
         assert first == second
 
 
