@@ -12,7 +12,6 @@ from .inference import (
     PosteriorSamples,
     SamplerConfig,
     ess,
-    log_posterior,
     log_prior,
     make_log_posterior,
     r_hat,
@@ -33,7 +32,6 @@ from .intensity import (
     RidgeConfig,
     bin_events,
     cumulative_intensity,
-    eval_intensity,
     fit_ridge,
     prior_from_fit,
 )

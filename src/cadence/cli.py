@@ -10,8 +10,10 @@ import argparse
 import json
 import logging
 import math
+import numbers
 import os
 import sys
+import tempfile
 from dataclasses import asdict, dataclass, fields
 from datetime import datetime, timedelta, timezone
 
@@ -40,8 +42,9 @@ EXIT_USAGE = 2
 class RunConfig:
     """All tunables shared across subcommands, with their defaults.
 
-    Validated once on construction; the sampler and ridge settings are
-    built here too, so their own checks run up front.
+    Validated once on construction (types too: an int is a float, a bool
+    is neither); the sampler and ridge settings are built here too, so
+    their own checks run up front.
     """
 
     window_days: float = 7.0
@@ -57,11 +60,13 @@ class RunConfig:
     clamp_floor: float = 1e-6
 
     def __post_init__(self):
-        floats = ("window_days", "cutoff_days_before_tca", "alpha", "bin_width",
-                  "sigma_floor", "clamp_floor")
-        for name in floats:
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            kind = numbers.Real if f.type == "float" else numbers.Integral
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ValueError(f"{f.name} must be {f.type}, got {value!r}")
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite")
         for name in ("window_days", "cutoff_days_before_tca", "sigma_floor", "clamp_floor"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
@@ -106,6 +111,11 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     if getattr(args, "config", None):
         with open(args.config, encoding="utf-8") as handle:
             file_values = json.load(handle)
+        if not isinstance(file_values, dict):
+            raise ValueError(f"{args.config}: expected a JSON object")
+        unknown = set(file_values) - {f.name for f in fields(RunConfig)}
+        if unknown:
+            raise ValueError(f"{args.config}: unknown settings {sorted(unknown)}")
     values = {}
     for f in fields(RunConfig):
         flag = getattr(args, f.name, None)
@@ -119,10 +129,19 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _write_atomic(path: str, text: str):
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8", newline="") as handle:
-        handle.write(text)
-    os.replace(tmp, path)
+    """Write a unique temp file beside ``path``, then rename it over ``path``."""
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".",
+                               prefix=os.path.basename(path) + ".", suffix=".tmp")
+    try:
+        umask = os.umask(0)  # mkstemp creates mode 0600; keep the usual mode
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
+        with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
+            handle.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _days_to_tca(window_days: float, t: float | None) -> float | None:
@@ -208,7 +227,6 @@ def _run_to_json(run: PredictionRun) -> dict:
         # later time becomes the numerically smaller bound.
         record["lower95"] = _days_to_tca(w, p.upper_95)
         record["upper95"] = _days_to_tca(w, p.lower_95)
-        record["predicted_mean_days_to_tca"] = _days_to_tca(w, p.mean_estimate)
     if run.note is not None:
         record["error"] = run.note
     return record
@@ -226,7 +244,6 @@ def _run_from_json(record: dict, window_days: float) -> PredictionRun:
             point_estimate=point,
             lower_95=_days_to_tca(w, record["upper95"]),
             upper_95=_days_to_tca(w, record["lower95"]),
-            mean_estimate=_days_to_tca(w, record.get("predicted_mean_days_to_tca")),
         )
     return PredictionRun(
         event_id=record["event_id"], model=record["model"], cutoff=cutoff, window_days=w,

@@ -17,14 +17,14 @@ from typing import Callable
 
 import numpy as np
 
-from .intensity import QUADRATURE_INTERVALS, PolynomialIntensity
-from .point_process import ObservationWindow, log_likelihood
+from .intensity import clamped_integral
 from .priors import GaussianPrior
 
 logger = logging.getLogger(__name__)
 
 LOG_SQRT_TWO_PI = 0.5 * math.log(2.0 * math.pi)
 TARGET_ACCEPTANCE = 0.234
+MIN_TOTAL_DRAWS = 100  # fewest draws, over all chains, that ``ess`` accepts
 
 
 @dataclass(frozen=True)
@@ -42,6 +42,8 @@ class SamplerConfig:
             raise ValueError("at least 2 chains required for diagnostics")
         if self.draws < 1 or self.warmup < 0:
             raise ValueError("draws must be >= 1 and warmup >= 0")
+        if self.chains * self.draws < MIN_TOTAL_DRAWS:
+            raise ValueError(f"chains * draws must be at least {MIN_TOTAL_DRAWS} for ESS")
         if self.step_scale <= 0:
             raise ValueError("step_scale must be positive")
 
@@ -75,37 +77,20 @@ def log_prior(prior: GaussianPrior, beta) -> float:
     return float(np.sum(-np.log(sigma) - LOG_SQRT_TWO_PI - 0.5 * z * z))
 
 
-def log_posterior(
-    prior: GaussianPrior,
-    arrivals: list[float],
-    t_c: float,
-    beta,
-    clamp_floor: float = 1e-6,
-) -> float:
-    """Log-posterior of beta given the history observed on [0, t_c].
-
-    The likelihood window ends at the cutoff, not the TCA: the model
-    conditions only on information available at decision time.  A
-    zero-width window contributes no likelihood.
-    """
-    lp = log_prior(prior, beta)
-    if t_c <= 0:
-        return lp
-    model = PolynomialIntensity(tuple(float(b) for b in beta), clamp_floor=clamp_floor)
-    return lp + log_likelihood(model, list(arrivals), ObservationWindow(0.0, t_c))
-
-
 def make_log_posterior(
     prior: GaussianPrior,
     arrivals: list[float],
     t_c: float,
     clamp_floor: float = 1e-6,
 ) -> Callable[[np.ndarray], float]:
-    """Fast log-posterior closure with precomputed quadrature tables.
+    """Log-posterior closure of beta given the history observed on [0, t_c].
 
-    Matches ``log_posterior`` (same clamp, same trapezoid resolution) to
-    floating-point accuracy while avoiding per-call grid construction;
-    the sampler evaluates it tens of thousands of times per event.
+    The likelihood window ends at the cutoff, not the TCA: the model
+    conditions only on information available at decision time.  A
+    zero-width window contributes no likelihood.  The integrated rate is
+    exact: when all Bernstein coefficients of p on [0, t_c] are at least the
+    floor, so is p, and the integral is linear in beta; other states go
+    through ``clamped_integral``.
     """
     dim = len(prior.mu)
     mu = np.asarray(prior.mu)
@@ -113,22 +98,22 @@ def make_log_posterior(
     norm_const = float(np.sum(-np.log(sigma) - LOG_SQRT_TWO_PI))
 
     if t_c > 0:
-        grid = np.linspace(0.0, t_c, QUADRATURE_INTERVALS + 1)
-        grid_powers = np.vander(grid, dim, increasing=True)
-        dx = t_c / QUADRATURE_INTERVALS
-        trap_w = np.full(len(grid), dx)
-        trap_w[0] = trap_w[-1] = 0.5 * dx
+        scale = t_c ** np.arange(dim)
+        moments = t_c * scale / np.arange(1, dim + 1)
+        # Bernstein coefficient k on [0, t_c]: sum_{j<=k} C(k,j)/C(d,j) t_c^j beta_j.
+        to_bernstein = np.array([[math.comb(k, j) / math.comb(dim - 1, j) for j in range(dim)]
+                                 for k in range(dim)]) * scale
         arrival_powers = np.vander(np.asarray(arrivals, dtype=float), dim, increasing=True)
-    else:
-        grid_powers = None
 
     def density(beta: np.ndarray) -> float:
         z = (beta - mu) / sigma
         lp = norm_const - 0.5 * float(z @ z)
-        if grid_powers is None:
+        if t_c <= 0:
             return lp
-        lam_grid = np.maximum(grid_powers @ beta, clamp_floor)
-        integral = float(trap_w @ lam_grid)
+        if (to_bernstein @ beta).min() >= clamp_floor:
+            integral = float(moments @ beta)
+        else:
+            integral = clamped_integral(beta, clamp_floor, 0.0, t_c)
         lam_points = np.maximum(arrival_powers @ beta, clamp_floor)
         return lp + float(np.log(lam_points).sum()) - integral
 
@@ -283,8 +268,8 @@ def ess(chain_draws: np.ndarray) -> float:
         raise ValueError("expected (chains, draws) array")
     n_chains, n = chain_draws.shape
     total = n_chains * n
-    if total < 100:
-        raise ValueError("need at least 100 total draws")
+    if total < MIN_TOTAL_DRAWS:
+        raise ValueError(f"need at least {MIN_TOTAL_DRAWS} total draws")
     if np.ptp(chain_draws) == 0.0:
         warnings.warn("degenerate (constant) draws: ESS capped at the draw count")
         return float(total)

@@ -1,12 +1,16 @@
-"""Polynomial intensity family, its integral, event binning, and ridge fits.
+"""Polynomial intensity family, its exact integral, event binning, and ridge fits.
 
 The intensity lambda(t) = beta_0 + beta_1 t + ... + beta_m t^m is clamped
 below at a small positive floor so that rates and log-likelihoods stay
-finite; its integral uses a fixed-resolution composite trapezoid rule for
-determinism.
+finite.  Integrals of the clamped rate are exact: the real roots of
+p - floor split an interval into pieces on which the rate is either the
+polynomial or the floor.  ``ClampedPolynomials`` integrates many
+polynomials at once (posterior draws); ``clamped_integral`` and
+``clamped_maximum`` take one polynomial in plain floats.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,8 +19,14 @@ import scipy.linalg
 from .ingest import ConjunctionEvent
 from .priors import GaussianPrior
 
-QUADRATURE_INTERVALS = 4096
 DEFAULT_CLAMP_FLOOR = 1e-6
+# A root whose imaginary part is below this (relative) counts as real: such a
+# pair marks a near-tangency, where either branch of the clamp is exact.
+REAL_ROOT_TOL = 1e-7
+ROOT_MAX_ITER = 100  # bisection alone would narrow a 7-day bracket past 1e-28 days
+# A root found to this (relative) step moves an integral by about
+# |p'| (1e-9 |r|)^2 / 2: below rounding.
+ROOT_XTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -86,25 +96,154 @@ def intensity_on_grid(model: PolynomialIntensity, t: np.ndarray) -> np.ndarray:
     return np.maximum(raw, model.clamp_floor)
 
 
-def eval_intensity(model: PolynomialIntensity, t: float) -> float:
-    """Clamped rate at time t, in arrivals per day."""
-    return float(intensity_on_grid(model, np.asarray(float(t))))
+def _real_roots(coeffs: np.ndarray) -> np.ndarray:
+    """Real roots of each row's polynomial (ascending powers), inf-padded to (n, max(d, 1)).
+
+    One batched companion-matrix eigenvalue call.  A row whose leading coefficient is
+    zero or below rounding next to the others (it would hide the small roots) drops it.
+    """
+    n, degree = len(coeffs), coeffs.shape[1] - 1
+    if degree <= 0:
+        return np.full((n, 1), np.inf)
+    full = np.abs(coeffs[:, -1]) > np.finfo(float).eps * np.abs(coeffs[:, :-1]).max(axis=1)
+    if not full.all():
+        out = np.full((n, degree), np.inf)
+        out[full] = _real_roots(coeffs[full])
+        out[~full, : max(degree - 1, 1)] = _real_roots(coeffs[~full, :-1])
+        return out
+    companion = np.zeros((n, degree, degree))
+    companion[:, 1:, :-1] = np.eye(degree - 1)
+    companion[:, :, -1] = -coeffs[:, :-1] / coeffs[:, -1:]
+    roots = np.linalg.eigvals(companion)
+    real = np.abs(roots.imag) <= REAL_ROOT_TOL * (1.0 + np.abs(roots.real))
+    return np.where(real, roots.real, np.inf)
 
 
-def cumulative_intensity(model: PolynomialIntensity, a: float, b: float) -> float:
-    """Expected arrival count on [a, b]: integral of the clamped rate.
+class ClampedPolynomials:
+    """Rates max(p_k(t), floor) for polynomials p_k, coefficients (n, d+1) ascending.
 
-    Composite trapezoid on a fixed uniform grid of QUADRATURE_INTERVALS
-    intervals per call.
+    Integrals are exact, from the real roots of p_k - floor (one batched
+    eigenvalue call for all rows).
+    """
+
+    def __init__(self, coeffs, floor: float):
+        self.coeffs = np.atleast_2d(np.asarray(coeffs, dtype=float))
+        self.floor = float(floor)
+        shifted = self.coeffs - self.floor * (np.arange(self.coeffs.shape[1]) == 0)
+        ends = np.full((len(shifted), 1), np.inf)
+        # -inf, the sorted real roots of p - floor (inf where absent), inf.
+        self._knots = np.hstack([-ends, np.sort(_real_roots(shifted), axis=1), ends])
+
+    def integral(self, a: float, b: float) -> np.ndarray:
+        """Integral of each clamped rate over [a, b], shape (n,).
+
+        Between knots p - floor keeps one sign, so each piece takes the larger
+        of the antiderivative's increment and the floor times its length.
+        """
+        if a > b:
+            raise ValueError("interval start must not exceed its end")
+        points = np.minimum(np.maximum(self._knots, a), b)  # a <= r_1 <= ... <= b
+        scaled = self.coeffs / np.arange(1, self.coeffs.shape[1] + 1)  # antiderivative / t
+        anti = points * np.polynomial.polynomial.polyval(points, scaled.T[:, :, None], tensor=False)
+        return np.maximum(np.diff(anti), self.floor * np.diff(points)).sum(axis=1)
+
+
+def _horner(coeffs: list[float], t: float) -> float:
+    acc = 0.0
+    for c in reversed(coeffs):
+        acc = acc * t + c
+    return acc
+
+
+def _bracketed_root(coeffs, lo: float, hi: float, v_lo: float, v_hi: float) -> float:
+    """The root of a polynomial that is monotone on [lo, hi] and changes sign there.
+
+    Newton's method from the secant point, kept inside the shrinking bracket:
+    a step that leaves it, or that does not halve the step before, bisects.
+    """
+    x, step = lo - v_lo * (hi - lo) / (v_hi - v_lo), hi - lo
+    for _ in range(ROOT_MAX_ITER):
+        v = slope = 0.0
+        for c in reversed(coeffs):  # Horner for p and p' together
+            slope = slope * x + v
+            v = v * x + c
+        if v == 0.0:
+            return x
+        if (v < 0.0) == (v_lo < 0.0):
+            lo = x
+        else:
+            hi = x
+        newton = x - v / slope if slope else math.inf
+        if lo < newton < hi and abs(newton - x) < 0.5 * abs(step):
+            step, x = newton - x, newton
+        else:
+            step, x = 0.5 * (hi - lo), 0.5 * (lo + hi)
+        if abs(step) <= ROOT_XTOL * (1.0 + abs(x)):
+            return x
+    return x
+
+
+def _sign_cuts(coeffs: list[float], a: float, b: float) -> list[float]:
+    """Sorted points of (a, b) cutting it into pieces on which the polynomial keeps one sign.
+
+    Degree 1 and 2 in closed form.  Above that, the cuts of the derivative
+    split (a, b) into monotone pieces, and each piece whose ends differ in
+    sign holds one root, found by ``_bracketed_root``; the derivative's cuts
+    are kept too, so a root that falls on one is not lost.
+    """
+    while len(coeffs) > 1 and coeffs[-1] == 0.0:
+        coeffs = coeffs[:-1]
+    if len(coeffs) == 2:
+        roots = [-coeffs[0] / coeffs[1]]
+    elif len(coeffs) == 3:
+        c0, c1, c2 = coeffs
+        disc = c1 * c1 - 4.0 * c2 * c0
+        if disc < 0.0:
+            return []
+        half = -0.5 * (c1 + math.copysign(math.sqrt(disc), c1))  # no cancellation
+        roots = [half / c2, c0 / half] if half else [0.0]
+    elif len(coeffs) > 3:
+        slopes = [j * c for j, c in enumerate(coeffs)][1:]
+        knots = [a, *_sign_cuts(slopes, a, b), b]
+        values = [_horner(coeffs, t) for t in knots]
+        roots = knots[1:-1]
+        for i in range(len(knots) - 1):
+            if values[i] * values[i + 1] < 0.0:
+                roots.append(_bracketed_root(coeffs, knots[i], knots[i + 1], values[i], values[i + 1]))
+    else:
+        return []
+    return sorted(r for r in roots if a < r < b)
+
+
+def clamped_integral(coeffs, floor: float, a: float, b: float) -> float:
+    """Integral of max(p, floor) over [a, b] for one polynomial, ascending coefficients.
+
+    ``ClampedPolynomials.integral`` for a single row, in plain floats with
+    the sign changes of p - floor from ``_sign_cuts``: for callers that
+    integrate one polynomial at a time (the sampler's log-density), where
+    array overhead and an eigenvalue call would cost several times the
+    rest of the call.
     """
     if a > b:
         raise ValueError("interval start must not exceed its end")
-    if a == b:
-        return 0.0
-    grid = np.linspace(a, b, QUADRATURE_INTERVALS + 1)
-    lam = intensity_on_grid(model, grid)
-    dx = (b - a) / QUADRATURE_INTERVALS
-    return float(dx * (lam.sum() - 0.5 * (lam[0] + lam[-1])))
+    coeffs = np.asarray(coeffs, dtype=float).tolist()
+    knots = [a, *_sign_cuts([coeffs[0] - floor, *coeffs[1:]], a, b), b]
+    scaled = [c / (j + 1) for j, c in enumerate(coeffs)]  # antiderivative / t
+    anti = [t * _horner(scaled, t) for t in knots]
+    return sum(max(anti[i + 1] - anti[i], floor * (knots[i + 1] - knots[i]))
+               for i in range(len(knots) - 1))
+
+
+def clamped_maximum(coeffs, floor: float, a: float, b: float) -> float:
+    """Maximum of max(p, floor) over [a, b], a <= b: at an end or where p' changes sign."""
+    coeffs = np.asarray(coeffs, dtype=float).tolist()
+    slopes = [j * c for j, c in enumerate(coeffs)][1:]
+    return max(floor, *(_horner(coeffs, t) for t in (a, b, *_sign_cuts(slopes, a, b))))
+
+
+def cumulative_intensity(model: PolynomialIntensity, a: float, b: float) -> float:
+    """Expected arrival count on [a, b]: exact integral of the clamped rate."""
+    return clamped_integral(model.coefficients, model.clamp_floor, a, b)
 
 
 def bin_events(events: list[ConjunctionEvent], bin_width: float) -> BinnedCounts:

@@ -2,7 +2,9 @@
 
 Counts over an interval are Poisson with mean equal to the integrated
 (clamped) intensity; the next-arrival survival from a cutoff is the void
-probability of the interval beyond it.
+probability of the interval beyond it.  Integrals and the thinning bound
+are exact (``intensity.ClampedPolynomials`` over posterior draws,
+``clamped_integral`` and ``clamped_maximum`` for one rate).
 """
 from __future__ import annotations
 
@@ -12,13 +14,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .intensity import (
-    QUADRATURE_INTERVALS,
+    ClampedPolynomials,
     PolynomialIntensity,
+    clamped_maximum,
     cumulative_intensity,
     intensity_on_grid,
 )
 
-THINNING_SAFETY = 1.05
 BISECTION_TOL_DAYS = 1e-6
 BISECTION_MAX_ITER = 60
 
@@ -43,8 +45,6 @@ class ArrivalPrediction:
     expects no arrival within the horizon, i.e. survival at the horizon
     still exceeds one half; the point estimate is then absent.  Interval
     bounds whose quantile falls beyond the horizon are absent too.
-    ``mean_estimate`` is the horizon-truncated predictive mean, reported
-    as an auxiliary alongside the median.
     """
 
     cutoff: float
@@ -53,7 +53,6 @@ class ArrivalPrediction:
     point_estimate: float | None = None
     lower_95: float | None = None
     upper_95: float | None = None
-    mean_estimate: float | None = None
 
 
 def log_likelihood(
@@ -76,9 +75,8 @@ def log_likelihood(
 
 
 def thinning_rate_bound(model: PolynomialIntensity, window: ObservationWindow) -> float:
-    """Dominating rate for thinning: grid maximum times a safety factor."""
-    grid = np.linspace(window.start, window.end, QUADRATURE_INTERVALS + 1)
-    return float(intensity_on_grid(model, grid).max()) * THINNING_SAFETY
+    """Dominating rate for thinning: the exact maximum of the clamped rate."""
+    return clamped_maximum(model.coefficients, model.clamp_floor, window.start, window.end)
 
 
 def simulate_thinning(
@@ -87,9 +85,9 @@ def simulate_thinning(
     """Simulate one NHPP realization on the window by thinning.
 
     Candidates arrive at the dominating constant rate and are kept with
-    probability lambda(t) / lambda_max (clamped into [0, 1], though the
-    safety factor makes the clamp a no-op up to grid error).  Output is
-    sorted and strictly increasing; deterministic given the seed.
+    probability lambda(t) / lambda_max (clamped into [0, 1] against
+    rounding at the maximum).  Output is sorted and strictly increasing;
+    deterministic given the seed.
     """
     lam_max = thinning_rate_bound(model, window)
     rng = np.random.default_rng(rng_seed)
@@ -115,11 +113,9 @@ def next_arrival_survival(model: PolynomialIntensity, t_c: float, u: float) -> f
 class MixtureSurvival:
     """Posterior-mixture survival of the next arrival beyond a cutoff.
 
-    Precomputes each draw's integrated intensity on a fixed fine grid over
-    [0, horizon] (same trapezoid resolution as cumulative_intensity), then
-    answers survival queries by per-draw linear interpolation of the
-    integral.  The interpolation error is orders of magnitude below the
-    quantile tolerances used downstream.
+    One ``ClampedPolynomials`` over all draws: survival(u) is the mean
+    over draws of exp(-integral of the rate over [t_c, t_c + u]), exact
+    for every u with no table.
     """
 
     def __init__(
@@ -136,29 +132,13 @@ class MixtureSurvival:
             raise ValueError("horizon must be positive")
         self.t_c = float(t_c)
         self.horizon = float(horizon)
-        self._u_grid = np.linspace(0.0, self.horizon, QUADRATURE_INTERVALS + 1)
-        powers = np.vander(self.t_c + self._u_grid, draws.shape[1], increasing=True)
-        lam = np.maximum(powers @ draws.T, clamp_floor)  # (grid, n_draws)
-        du = self.horizon / QUADRATURE_INTERVALS
-        increments = 0.5 * du * (lam[:-1] + lam[1:])
-        cum = np.cumsum(increments, axis=0)
-        self._cum_intensity = np.vstack([np.zeros(lam.shape[1]), cum])
+        self._rates = ClampedPolynomials(draws, clamp_floor)
 
     def __call__(self, u: float) -> float:
         if u < 0:
             raise ValueError("look-ahead u must be non-negative")
         u = min(u, self.horizon)
-        pos = u / self.horizon * QUADRATURE_INTERVALS
-        lo = min(int(pos), QUADRATURE_INTERVALS - 1)
-        frac = pos - lo
-        lam_int = (1 - frac) * self._cum_intensity[lo] + frac * self._cum_intensity[lo + 1]
-        return float(np.exp(-lam_int).mean())
-
-    def grid_mean(self) -> float:
-        """Horizon-truncated predictive mean of the waiting time."""
-        survival = np.exp(-self._cum_intensity).mean(axis=1)
-        du = self.horizon / QUADRATURE_INTERVALS
-        return float(du * (survival.sum() - 0.5 * (survival[0] + survival[-1])))
+        return float(np.exp(-self._rates.integral(self.t_c, self.t_c + u)).mean())
 
     def quantile(self, level: float) -> float | None:
         """Waiting time u with survival(u) == level, or None beyond the horizon."""
@@ -202,5 +182,4 @@ def mixture_next_arrival(
         point_estimate=None if median_u is None else t_c + median_u,
         lower_95=None if lower_u is None else t_c + lower_u,
         upper_95=None if upper_u is None else t_c + upper_u,
-        mean_estimate=t_c + survival.grid_mean(),
     )

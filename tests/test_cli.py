@@ -44,6 +44,21 @@ class TestSimulate:
         assert a.read_bytes() == b.read_bytes()
 
 
+    def test_write_leaves_other_temp_files_alone(self, tmp_path):
+        # A concurrent run's temp file must survive this run's write.
+        out = tmp_path / "sim.csv"
+        stray = tmp_path / "sim.csv.tmp"
+        stray.write_text("another run")
+        assert run_cli("simulate", "--n-events", "3", "--beta", "2,0",
+                       "--out", str(out), "--seed", "1") == 0
+        assert stray.read_text() == "another run"
+        umask = os.umask(0)
+        os.umask(umask)
+        assert os.stat(out).st_mode & 0o777 == 0o666 & ~umask
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "sim.csv", "sim.csv.tmp", "sim.csv.truth.json"]
+
+
 class TestFitPrior:
     def simulate(self, tmp_path, n, beta="1.2,0.25,-0.02,0.001", seed="3"):
         data = tmp_path / "train.csv"
@@ -309,7 +324,8 @@ class TestConfigResolution:
         assert err.value.code == 2
 
     @pytest.mark.parametrize("flag", [("--chains", "1"), ("--clamp-floor", "nan"),
-                                      ("--alpha", "inf"), ("--warmup", "0")])
+                                      ("--alpha", "inf"), ("--warmup", "0"),
+                                      ("--chains", "2", "--draws", "10", "--warmup", "10")])
     def test_bad_setting_is_usage_error(self, tmp_path, flag):
         # Rejected before any file is read or written.
         with pytest.raises(SystemExit) as err:
@@ -318,6 +334,23 @@ class TestConfigResolution:
                     "--out", str(tmp_path / "runs.jsonl"), *flag)
         assert err.value.code == 2
         assert not (tmp_path / "runs.jsonl").exists()
+
+    @pytest.mark.parametrize("settings", [{"chains": "2"}, {"chain": 4}, {"draws": True},
+                                          {"degree": 3.0}, [1, 2]])
+    def test_config_file_key_or_type_is_usage_error(self, tmp_path, settings):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(settings))
+        with pytest.raises(SystemExit) as err:
+            run_cli("simulate", "--n-events", "1", "--beta", "1,0",
+                    "--out", str(tmp_path / "x.csv"), "--config", str(config))
+        assert err.value.code == 2
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_config_file_int_is_a_float(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"window_days": 7, "alpha": 1}))
+        assert run_cli("simulate", "--n-events", "1", "--beta", "1,0",
+                       "--out", str(tmp_path / "x.csv"), "--config", str(config)) == 0
 
     def test_help_available(self, capsys):
         for command in ("simulate", "fit-prior", "predict", "evaluate", "plot-data"):

@@ -8,14 +8,13 @@ import pytest
 from cadence.inference import (
     SamplerConfig,
     ess,
-    log_posterior,
     log_prior,
     make_log_posterior,
     r_hat,
     sample_posterior,
 )
 from cadence.intensity import PolynomialIntensity
-from cadence.point_process import ObservationWindow, simulate_thinning
+from cadence.point_process import ObservationWindow, log_likelihood, simulate_thinning
 from cadence.priors import DEFAULT_PRIOR, GaussianPrior
 
 
@@ -42,24 +41,33 @@ class TestLogPrior:
             log_prior(GaussianPrior((0.0,), (1.0,)), [0.0, 1.0])
 
 
+def reference_log_posterior(prior, arrivals, t_c, beta):
+    """Prior plus the exact NHPP likelihood of the history on [0, t_c]."""
+    model = PolynomialIntensity(tuple(beta))
+    return log_prior(prior, beta) + log_likelihood(model, arrivals, ObservationWindow(0.0, t_c))
+
+
 class TestLogPosterior:
     def test_zero_width_window_is_prior_only(self):
         prior = GaussianPrior((2.0,), (0.5,))
-        assert log_posterior(prior, [], 0.0, [1.7]) == log_prior(prior, [1.7])
+        density = make_log_posterior(prior, [], 0.0)
+        assert density(np.array([1.7])) == pytest.approx(log_prior(prior, [1.7]), rel=1e-15)
 
     def test_flat_prior_argmax_near_mle(self):
         # Homogeneous rate, 6 arrivals on [0, 3]: the MLE is n / T = 2.
         prior = GaussianPrior((1.0,), (1e6,))
         arrivals = [0.3, 0.8, 1.2, 1.9, 2.4, 2.9]
+        density = make_log_posterior(prior, arrivals, 3.0)
         grid = np.linspace(0.5, 5.0, 2001)
-        values = [log_posterior(prior, arrivals, 3.0, [g]) for g in grid]
+        values = [density(np.array([g])) for g in grid]
         assert grid[int(np.argmax(values))] == pytest.approx(2.0, abs=0.01)
 
     def test_tight_prior_argmax_near_mu(self):
         prior = GaussianPrior((4.0,), (1e-4,))
         arrivals = [0.3, 0.8]
+        density = make_log_posterior(prior, arrivals, 3.0)
         grid = np.linspace(3.5, 4.5, 2001)
-        values = [log_posterior(prior, arrivals, 3.0, [g]) for g in grid]
+        values = [density(np.array([g])) for g in grid]
         assert grid[int(np.argmax(values))] == pytest.approx(4.0, abs=0.01)
 
     def test_fast_closure_matches_reference(self):
@@ -67,9 +75,21 @@ class TestLogPosterior:
         arrivals = [0.4, 1.1, 2.7, 3.9]
         density = make_log_posterior(prior, arrivals, 4.5)
         rng = np.random.default_rng(0)
-        for _ in range(20):
-            beta = rng.normal(0, 2, size=4)
-            reference = log_posterior(prior, arrivals, 4.5, beta)
+        betas = np.vstack([rng.normal(prior.mu, prior.sigma, size=(20, 4)),
+                           rng.normal(0, 2, size=(20, 4))])
+        # Both sides of the closure's clamp check: states whose Bernstein
+        # coefficients on [0, 4.5] (interpolated at 4 nodes) all exceed the
+        # floor, and states whose rate crosses the floor.
+        nodes = np.linspace(0.0, 1.0, 4)
+        basis = np.array([[math.comb(3, k) * s**k * (1 - s) ** (3 - k) for k in range(4)]
+                          for s in nodes])
+        values = np.vander(4.5 * nodes, 4, increasing=True) @ betas.T
+        bernstein = np.linalg.solve(basis, values)
+        grid = np.vander(np.linspace(0.0, 4.5, 1001), 4, increasing=True)
+        assert (bernstein.min(axis=0) >= 1e-6).sum() >= 5
+        assert ((grid @ betas.T).min(axis=0) < 1e-6).sum() >= 5
+        for beta in betas:
+            reference = reference_log_posterior(prior, arrivals, 4.5, beta)
             assert density(beta) == pytest.approx(reference, rel=1e-9, abs=1e-9)
 
 
@@ -134,9 +154,16 @@ class TestSamplePosterior:
         assert abs(flat.mean()) <= 3 * stderr
 
     def test_non_finite_initialization_errors(self):
-        config = SamplerConfig(chains=2, draws=10, warmup=10, seed=0)
+        config = SamplerConfig(chains=2, draws=50, warmup=10, seed=0)
         with pytest.raises(RuntimeError, match="initialization"):
             sample_posterior(lambda b: -math.inf, [0.0], [1.0], config)
+
+
+    def test_too_few_total_draws_rejected(self):
+        # ess needs 100 draws over all chains; the config says so up front.
+        with pytest.raises(ValueError, match="at least 100"):
+            SamplerConfig(chains=2, draws=49)
+        SamplerConfig(chains=2, draws=50)
 
 
 class TestRHat:

@@ -1,4 +1,4 @@
-"""Intensity evaluation, quadrature, binning, ridge fits, and prior pooling."""
+"""Intensity evaluation, the exact clamped integral, binning, ridge fits, and prior pooling."""
 
 import math
 from datetime import datetime, timezone
@@ -6,18 +6,22 @@ from datetime import datetime, timezone
 import numpy as np
 import pytest
 import scipy.integrate
-from hypothesis import given, settings
+import scipy.optimize
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cadence.ingest import ConjunctionEvent
 from cadence.intensity import (
     BinnedCounts,
+    ClampedPolynomials,
     PolynomialIntensity,
     RidgeConfig,
     bin_events,
+    clamped_integral,
+    clamped_maximum,
     cumulative_intensity,
-    eval_intensity,
     fit_ridge,
+    intensity_on_grid,
     prior_from_fit,
 )
 
@@ -27,6 +31,10 @@ TCA = datetime(2023, 1, 10, tzinfo=timezone.utc)
 
 def event(arrivals, window=1.0):
     return ConjunctionEvent("E", TCA, window, tuple(arrivals))
+
+
+def eval_intensity(model, t):
+    return float(intensity_on_grid(model, np.asarray(float(t))))
 
 
 class TestEvalIntensity:
@@ -89,12 +97,82 @@ class TestCumulativeIntensity:
         st.floats(0, 5),
     )
     @settings(max_examples=50)
+    @example(coeffs=[0.5, -3.0], x=0.0, y=1.0, z=2.0)  # crosses the floor at t = 1/6
     def test_additivity(self, coeffs, x, y, z):
         a, b, c = sorted((x, y, z))
         model = PolynomialIntensity(tuple(coeffs))
         whole = cumulative_intensity(model, a, c)
         parts = cumulative_intensity(model, a, b) + cumulative_intensity(model, b, c)
         assert whole == pytest.approx(parts, rel=1e-6, abs=1e-9)
+
+
+def floor_crossings(coeffs, floor, a, b):
+    """Where p - floor changes sign on [a, b]: a 10^4-point scan refined by brentq."""
+    def excess(t):
+        return np.polynomial.polynomial.polyval(t, coeffs) - floor
+
+    grid = np.linspace(a, b, 10_001)
+    values = excess(grid)
+    cells = np.flatnonzero(np.sign(values[:-1]) * np.sign(values[1:]) < 0)
+    return [scipy.optimize.brentq(excess, grid[i], grid[i + 1], xtol=1e-15) for i in cells]
+
+
+class TestClampedPolynomials:
+    @given(
+        st.lists(st.floats(-3, 3), min_size=4, max_size=4),
+        st.floats(0, 7),
+        st.floats(0, 7),
+    )
+    @settings(max_examples=200, deadline=None)
+    @example(coeffs=[0.5, -3.0, 0.0, 0.0], x=0.0, y=2.0)
+    @example(coeffs=[2.0, -1.2, 0.0, 0.04], x=0.0, y=7.0)  # dips below the floor
+    @example(coeffs=[0.0, 1.0, -2.0, 2.6e-183], x=0.0, y=1.0)  # negligible leading term
+    def test_matches_adaptive_quadrature(self, coeffs, x, y):
+        a, b = sorted((x, y))
+        floor = 1e-6
+
+        def rate(t):
+            return max(np.polynomial.polynomial.polyval(t, coeffs), floor)
+
+        oracle, _ = scipy.integrate.quad(rate, a, b, points=floor_crossings(coeffs, floor, a, b)
+                                         or None, epsabs=0.0, epsrel=1e-12, limit=200)
+        value = ClampedPolynomials(coeffs, floor).integral(a, b)[0]
+        assert value == pytest.approx(oracle, rel=1e-9, abs=1e-12)
+        assert clamped_integral(coeffs, floor, a, b) == pytest.approx(oracle, rel=1e-9, abs=1e-12)
+
+    @given(
+        st.lists(st.floats(-3, 3), min_size=1, max_size=6),
+        st.sampled_from([1.0, 1e-4, 1e-9, 1e-15]),
+        st.floats(0, 7),
+        st.floats(0, 7),
+    )
+    @settings(max_examples=200, deadline=None)
+    @example(coeffs=[-1.0 + 1e-6, 3.0, -3.0, 1.0], lead=1.0, x=0.0, y=2.0)  # root where p' = 0
+    def test_single_row_matches_adaptive_quadrature(self, coeffs, lead, x, y):
+        # Any degree, with a leading term down to rounding next to the rest.
+        coeffs = [*coeffs[:-1], coeffs[-1] * lead]
+        a, b = sorted((x, y))
+        floor = 1e-6
+
+        def rate(t):
+            return max(np.polynomial.polynomial.polyval(t, coeffs), floor)
+
+        oracle, _ = scipy.integrate.quad(rate, a, b, points=floor_crossings(coeffs, floor, a, b)
+                                         or None, epsabs=0.0, epsrel=1e-12, limit=200)
+        assert clamped_integral(coeffs, floor, a, b) == pytest.approx(oracle, rel=1e-9, abs=1e-12)
+
+    def test_rows_are_independent(self):
+        coeffs = np.array([[1.0, 0.0, 0.0, 0.0], [0.5, -3.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0]])
+        batch = ClampedPolynomials(coeffs, 1e-6).integral(0.5, 2.0)
+        single = [ClampedPolynomials(row, 1e-6).integral(0.5, 2.0)[0] for row in coeffs]
+        assert batch == pytest.approx(single, rel=1e-15)
+        assert batch == pytest.approx([1.5, 1.5e-6, (2.0**4 - 0.5**4) / 4], rel=1e-12)
+
+    def test_maximum_at_root_of_derivative(self):
+        # p(t) = 1 + 3t - t^2 peaks at t = 1.5 with p = 3.25.
+        assert clamped_maximum([1.0, 3.0, -1.0], 1e-6, 0.0, 4.0) == pytest.approx(3.25, rel=1e-15)
+        assert clamped_maximum([1.0, 3.0, -1.0], 1e-6, 0.0, 1.0) == pytest.approx(3.0, rel=1e-15)
+        assert clamped_maximum([-1.0, 0.0], 1e-6, 0.0, 4.0) == 1e-6
 
 
 class TestBinEvents:

@@ -1,13 +1,16 @@
 """NHPP likelihood, thinning simulation, survival, and mixture quantiles."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.integrate
 import scipy.optimize
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from cadence.intensity import PolynomialIntensity, cumulative_intensity
+from cadence.intensity import PolynomialIntensity, cumulative_intensity, intensity_on_grid
 from cadence.point_process import (
     MixtureSurvival,
     ObservationWindow,
@@ -15,6 +18,7 @@ from cadence.point_process import (
     mixture_next_arrival,
     next_arrival_survival,
     simulate_thinning,
+    thinning_rate_bound,
 )
 
 
@@ -84,6 +88,32 @@ class TestSimulateThinning:
         assert abs(counts.mean() - expected) <= 3 * stderr
 
 
+class TestThinningRateBound:
+    @given(
+        st.lists(st.floats(-3, 3), min_size=1, max_size=4),
+        st.floats(0, 7),
+        st.floats(0.01, 7),
+    )
+    @settings(max_examples=100, deadline=None)
+    @example(coeffs=[2.0, -1.2, 0.0, 0.04], start=0.0, length=7.0)
+    @example(coeffs=[1.0, 3.0, -1.0], start=0.0, length=4.0)  # interior peak at t = 1.5
+    def test_exact_maximum(self, coeffs, start, length):
+        model = PolynomialIntensity(tuple(coeffs))
+        window = ObservationWindow(start, start + length)
+        bound = thinning_rate_bound(model, window)
+        grid = np.linspace(window.start, window.end, 10_001)
+        rate = intensity_on_grid(model, grid)
+        assert np.all(rate <= bound * (1 + 1e-12))
+        # Refine the grid maximum within its neighbouring cells.
+        i = int(np.argmax(rate))
+        refined = scipy.optimize.minimize_scalar(
+            lambda t: -float(intensity_on_grid(model, np.asarray(t))),
+            bounds=(grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]),
+            method="bounded", options={"xatol": 1e-12},
+        )
+        assert bound == pytest.approx(max(rate[i], -refined.fun), rel=1e-9)
+
+
 class TestNextArrivalSurvival:
     def test_exponential_half_life(self):
         model = PolynomialIntensity((1.0,))
@@ -146,11 +176,12 @@ class TestMixtureNextArrival:
         prediction = mixture_next_arrival(draws, t_c, horizon)
 
         def exact_survival(u):
-            # Independent evaluation: per-draw quadrature, no shared grid cache.
+            # Independent evaluation: adaptive quadrature per draw.
             total = 0.0
             for beta in draws:
-                model = PolynomialIntensity(tuple(beta))
-                total += math.exp(-cumulative_intensity(model, t_c, t_c + u))
+                integral, _ = scipy.integrate.quad(
+                    lambda t: max(beta[0] + beta[1] * t, 1e-6), t_c, t_c + u)
+                total += math.exp(-integral)
             return total / len(draws)
 
         assert exact_survival(prediction.point_estimate - t_c) == pytest.approx(0.5, abs=1e-5)
@@ -184,3 +215,15 @@ class TestMixtureNextArrival:
         )
         for u in grid:
             assert survival(float(u)) >= math.exp(-lam_max * u) - 1e-12
+
+    def test_mixture_memory_does_not_grow_with_a_table(self):
+        rng = np.random.default_rng(4)
+        draws = rng.normal([6.0, 0.5, -0.05, 0.002], [1.0, 0.3, 0.1, 0.01], size=(4000, 4))
+        tracemalloc.start()
+        try:
+            survival = MixtureSurvival(draws, 4.5, 2.5)
+            survival.quantile(0.5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 5e6
