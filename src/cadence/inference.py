@@ -1,9 +1,12 @@
 """Bayesian inference over intensity coefficients.
 
 Gaussian priors combined with the exact NHPP likelihood of the pre-cutoff
-history give the per-event log-posterior; an adaptive random-walk
-Metropolis sampler draws from it across several independent chains.
-Split R-hat and effective sample size are computed for every
+history give the per-event log-posterior, a closure that maps states
+(k, dim) to k log-densities.  An adaptive random-walk Metropolis sampler
+draws from it across several independent chains, which step in lock step
+as one (chains, dim) array: one log-density call per step for all chains.
+Each chain draws its randomness from its own child of the seed.  Split
+R-hat and effective sample size are computed for every
 coefficient; callers gate on R-hat alone (see ``prediction``), and ESS
 is reported only.
 """
@@ -82,15 +85,16 @@ def make_log_posterior(
     arrivals: list[float],
     t_c: float,
     clamp_floor: float = 1e-6,
-) -> Callable[[np.ndarray], float]:
-    """Log-posterior closure of beta given the history observed on [0, t_c].
+) -> Callable[[np.ndarray], np.ndarray]:
+    """Log-posterior closure given the history observed on [0, t_c].
 
-    The likelihood window ends at the cutoff, not the TCA: the model
-    conditions only on information available at decision time.  A
-    zero-width window contributes no likelihood.  The integrated rate is
+    The closure takes states of shape (k, dim) and returns their k
+    log-densities.  The likelihood window ends at the cutoff, not the TCA:
+    the model conditions only on information available at decision time.
+    A zero-width window contributes no likelihood.  The integrated rate is
     exact: when all Bernstein coefficients of p on [0, t_c] are at least the
     floor, so is p, and the integral is linear in beta; other states go
-    through ``clamped_integral``.
+    through ``clamped_integral`` one row at a time.
     """
     dim = len(prior.mu)
     mu = np.asarray(prior.mu)
@@ -104,134 +108,154 @@ def make_log_posterior(
         to_bernstein = np.array([[math.comb(k, j) / math.comb(dim - 1, j) for j in range(dim)]
                                  for k in range(dim)]) * scale
         arrival_powers = np.vander(np.asarray(arrivals, dtype=float), dim, increasing=True)
+        # One product gives the Bernstein coefficients, the rate at each arrival
+        # and the integral of the unclamped rate.
+        design = np.vstack([to_bernstein, arrival_powers, moments]).T
 
-    def density(beta: np.ndarray) -> float:
-        z = (beta - mu) / sigma
-        lp = norm_const - 0.5 * float(z @ z)
+    def density(states: np.ndarray) -> np.ndarray:
+        z = (states - mu) / sigma
+        lp = norm_const - 0.5 * (z * z).sum(axis=1)
         if t_c <= 0:
             return lp
-        if (to_bernstein @ beta).min() >= clamp_floor:
-            integral = float(moments @ beta)
-        else:
-            integral = clamped_integral(beta, clamp_floor, 0.0, t_c)
-        lam_points = np.maximum(arrival_powers @ beta, clamp_floor)
-        return lp + float(np.log(lam_points).sum()) - integral
+        product = states @ design
+        integral = product[:, -1]
+        for i in (product[:, :dim].min(axis=1) < clamp_floor).nonzero()[0]:
+            integral[i] = clamped_integral(states[i], clamp_floor, 0.0, t_c)
+        lam_points = np.maximum(product[:, dim:-1], clamp_floor)
+        return lp + np.log(lam_points).sum(axis=1) - integral
 
     return density
 
 
 def _proposal_cholesky(states: np.ndarray, init_scale: np.ndarray) -> np.ndarray:
-    """Cholesky factor of a regularized empirical covariance of warmup states.
+    """Cholesky factors of regularized empirical covariances, one per chain.
 
-    Falls back to a diagonal factor built from init_scale when the states
-    are too few or too degenerate to support a full-rank estimate.
+    ``states`` is (chains, n, dim); the result is (chains, dim, dim).  A
+    chain falls back to a diagonal factor built from init_scale when its
+    states are too few or too degenerate to support a full-rank estimate.
     """
-    dim = states.shape[1]
+    chains, n, dim = states.shape
     fallback = np.diag(init_scale)
-    if states.shape[0] < max(10, 2 * dim):
-        return fallback
-    cov = np.cov(states, rowvar=False).reshape(dim, dim)
-    cov += 1e-10 * np.eye(dim) * max(np.trace(cov) / dim, 1.0)
-    try:
-        return np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError:
-        return fallback
+    if n < max(10, 2 * dim):
+        return np.broadcast_to(fallback, (chains, dim, dim))
+    centered = states - states.mean(axis=1, keepdims=True)
+    cov = centered.transpose(0, 2, 1) @ centered / (n - 1)
+    ridge = 1e-10 * np.maximum(np.trace(cov, axis1=1, axis2=2) / dim, 1.0)
+    cov += ridge[:, None, None] * np.eye(dim)
+    factors = []
+    for one in cov:
+        try:
+            factors.append(np.linalg.cholesky(one))
+        except np.linalg.LinAlgError:
+            factors.append(fallback)
+    return np.stack(factors)
+
+
+def _metropolis(log_density, x, lp, proposal, uniforms):
+    """One accept/reject decision per chain: accepted proposals overwrite x and lp in place.
+
+    Returns the acceptance probabilities and which chains accepted.
+    """
+    lp_prop = np.asarray(log_density(proposal), dtype=float)
+    accept_prob = np.exp(np.minimum(lp_prop - lp, 0.0))
+    accept = uniforms < accept_prob
+    np.copyto(x, proposal, where=accept[:, None])
+    np.copyto(lp, lp_prop, where=accept)
+    return accept_prob, accept
 
 
 def sample_posterior(
-    log_density: Callable[[np.ndarray], float],
+    log_density: Callable[[np.ndarray], np.ndarray],
     init_mean,
     init_scale,
     config: SamplerConfig,
 ) -> PosteriorSamples:
-    """Covariance-adaptive random-walk Metropolis.
+    """Covariance-adaptive random-walk Metropolis, all chains in lock step.
 
-    Each chain starts at the prior mean jittered by a tenth of the prior
-    scale.  Warmup runs in two stages: first, coordinate-at-a-time updates
-    whose per-coordinate scales adapt by Robbins-Monro toward the target
-    acceptance rate; then joint Gaussian proposals whose covariance is the
-    empirical covariance of the warmup states (polynomial coefficients are
-    strongly correlated, so axis-aligned proposals alone mix too slowly),
-    with a single Robbins-Monro scale factor.  Everything freezes after
-    warmup so the retained draws satisfy detailed balance.  Deterministic
-    given the seed.
+    ``log_density`` maps states (k, dim) to k log-densities; every step
+    evaluates the proposals of all chains in one call.  Each chain starts
+    at the prior mean jittered by a tenth of the prior scale.  Warmup runs
+    in two stages: first, coordinate-at-a-time updates whose per-coordinate
+    scales adapt by Robbins-Monro toward the target acceptance rate; then
+    joint Gaussian proposals whose covariance is the empirical covariance
+    of the chain's warmup states (polynomial coefficients are strongly
+    correlated, so axis-aligned proposals alone mix too slowly), with a
+    single Robbins-Monro scale factor.  Everything freezes after warmup so
+    the retained draws satisfy detailed balance.  Each chain adapts on its
+    own, and draws all its normals and uniforms up front from its own
+    child of the seed, so a chain's draws do not depend on how many
+    chains run beside it.  Deterministic given the seed.
     """
     init_mean = np.asarray(init_mean, dtype=float)
     init_scale = np.asarray(init_scale, dtype=float)
     dim = len(init_mean)
-    root = np.random.SeedSequence(config.seed)
-    chain_seeds = root.spawn(config.chains)
-
     stage_a = config.warmup // 2
+    stage_b = config.warmup - stage_a
+
+    def chain_noise(rng):
+        # Start, stage A (one normal per coordinate step), stage B, sampling.
+        return (rng.standard_normal(dim),
+                rng.standard_normal((stage_a, dim)), rng.uniform(size=(stage_a, dim)),
+                rng.standard_normal((stage_b, dim)), rng.uniform(size=stage_b),
+                rng.standard_normal((config.draws, dim)), rng.uniform(size=config.draws))
+
+    # Each chain's normals and uniforms, drawn up front from its own child seed.
+    noise = [chain_noise(np.random.default_rng(seed))
+             for seed in np.random.SeedSequence(config.seed).spawn(config.chains)]
+    start, a_normals, a_uniforms, b_normals, b_uniforms, s_normals, s_uniforms = (
+        np.stack(block) for block in zip(*noise))
+
+    x = init_mean + 0.1 * init_scale * start
+    lp = np.array(log_density(x), dtype=float)
+    bad = np.flatnonzero(~np.isfinite(lp))
+    if bad.size:
+        raise RuntimeError(f"chain {bad[0]}: non-finite log-density at initialization")
+
+    # Stage A: per-coordinate adaptation, collecting states for the
+    # covariance estimate.
+    log_scales = np.tile(np.log(config.step_scale * init_scale), (config.chains, 1))
+    stage_a_states = np.empty((config.chains, max(stage_a, 1), dim))
+    stage_a_states[:, 0] = x
+    for it in range(stage_a):
+        gamma = (it + 1) ** -0.6
+        for j in range(dim):
+            proposal = x.copy()
+            proposal[:, j] += np.exp(log_scales[:, j]) * a_normals[:, it, j]
+            accept_prob, _ = _metropolis(log_density, x, lp, proposal, a_uniforms[:, it, j])
+            log_scales[:, j] += gamma * (accept_prob - TARGET_ACCEPTANCE)
+        stage_a_states[:, it] = x
+
+    chol = _proposal_cholesky(stage_a_states[:, stage_a // 2 :], init_scale)
+    log_factor = np.full(config.chains, math.log(2.38 / math.sqrt(dim)))
+
+    # Stage B: joint proposals, scale-only adaptation, one covariance
+    # refresh halfway through.
+    stage_b_states = np.empty((config.chains, max(stage_b, 1), dim))
+    stage_b_states[:, 0] = x
+    for it in range(stage_b):
+        if stage_b >= 20 and it == stage_b // 2:
+            chol = _proposal_cholesky(stage_b_states[:, :it], init_scale)
+        direction = (chol @ b_normals[:, it, :, None])[:, :, 0]
+        proposal = x + np.exp(log_factor)[:, None] * direction
+        accept_prob, _ = _metropolis(log_density, x, lp, proposal, b_uniforms[:, it])
+        log_factor += (it + 1) ** -0.6 * (accept_prob - TARGET_ACCEPTANCE)
+        stage_b_states[:, it] = x
+
+    # Sampling: frozen kernel.
+    step = np.exp(log_factor)[:, None, None] * chol
+    increments = s_normals @ step.transpose(0, 2, 1)
     all_draws = np.empty((config.chains, config.draws, dim))
-    acceptance = []
-    for c in range(config.chains):
-        rng = np.random.default_rng(chain_seeds[c])
-        x = init_mean + 0.1 * init_scale * rng.standard_normal(dim)
-        lp = log_density(x)
-        if not np.isfinite(lp):
-            raise RuntimeError(f"chain {c}: non-finite log-density at initialization")
-
-        # Stage A: per-coordinate adaptation, collecting states for the
-        # covariance estimate.
-        log_scales = np.log(config.step_scale * init_scale)
-        stage_a_states = np.empty((max(stage_a, 1), dim))
-        stage_a_states[0] = x
-        for it in range(stage_a):
-            for j in range(dim):
-                proposal = x.copy()
-                proposal[j] += math.exp(log_scales[j]) * rng.standard_normal()
-                lp_prop = log_density(proposal)
-                log_ratio = lp_prop - lp
-                accept_prob = 1.0 if log_ratio >= 0 else math.exp(log_ratio)
-                if rng.uniform() < accept_prob:
-                    x = proposal
-                    lp = lp_prop
-                gamma = (it + 1) ** -0.6
-                log_scales[j] += gamma * (accept_prob - TARGET_ACCEPTANCE)
-            stage_a_states[it] = x
-
-        chol = _proposal_cholesky(stage_a_states[stage_a // 2 :], init_scale)
-        log_factor = math.log(2.38 / math.sqrt(dim))
-
-        # Stage B: joint proposals, scale-only adaptation, one covariance
-        # refresh halfway through.
-        stage_b = config.warmup - stage_a
-        stage_b_states = np.empty((max(stage_b, 1), dim))
-        stage_b_states[0] = x
-        for it in range(stage_b):
-            if stage_b >= 20 and it == stage_b // 2:
-                chol = _proposal_cholesky(stage_b_states[: it], init_scale)
-            proposal = x + math.exp(log_factor) * (chol @ rng.standard_normal(dim))
-            lp_prop = log_density(proposal)
-            log_ratio = lp_prop - lp
-            accept_prob = 1.0 if log_ratio >= 0 else math.exp(log_ratio)
-            if rng.uniform() < accept_prob:
-                x = proposal
-                lp = lp_prop
-            gamma = (it + 1) ** -0.6
-            log_factor += gamma * (accept_prob - TARGET_ACCEPTANCE)
-            stage_b_states[it] = x
-
-        # Sampling: frozen kernel.
-        step = math.exp(log_factor) * chol
-        accepted = 0
-        for it in range(config.draws):
-            proposal = x + step @ rng.standard_normal(dim)
-            lp_prop = log_density(proposal)
-            log_ratio = lp_prop - lp
-            if log_ratio >= 0 or rng.uniform() < math.exp(log_ratio):
-                x = proposal
-                lp = lp_prop
-                accepted += 1
-            all_draws[c, it] = x
-        acceptance.append(accepted / config.draws)
+    accepted = np.zeros(config.chains)
+    for it in range(config.draws):
+        _, accept = _metropolis(log_density, x, lp, x + increments[:, it], s_uniforms[:, it])
+        accepted += accept
+        all_draws[:, it] = x
 
     r_hats = tuple(r_hat(all_draws[:, :, j]) for j in range(dim))
     ess_vals = tuple(ess(all_draws[:, :, j]) for j in range(dim))
     return PosteriorSamples(
         draws=all_draws,
-        acceptance=tuple(acceptance),
+        acceptance=tuple(float(a) for a in accepted / config.draws),
         r_hat=r_hats,
         ess=ess_vals,
     )

@@ -23,6 +23,7 @@ DEFAULT_CLAMP_FLOOR = 1e-6
 # A root whose imaginary part is below this (relative) counts as real: such a
 # pair marks a near-tangency, where either branch of the clamp is exact.
 REAL_ROOT_TOL = 1e-7
+POLISH_STEPS = 2  # Newton steps on each eigenvalue root
 ROOT_MAX_ITER = 100  # bisection alone would narrow a 7-day bracket past 1e-28 days
 # A root found to this (relative) step moves an integral by about
 # |p'| (1e-9 |r|)^2 / 2: below rounding.
@@ -99,8 +100,9 @@ def intensity_on_grid(model: PolynomialIntensity, t: np.ndarray) -> np.ndarray:
 def _real_roots(coeffs: np.ndarray) -> np.ndarray:
     """Real roots of each row's polynomial (ascending powers), inf-padded to (n, max(d, 1)).
 
-    One batched companion-matrix eigenvalue call.  A row whose leading coefficient is
-    zero or below rounding next to the others (it would hide the small roots) drops it.
+    One batched companion-matrix eigenvalue call, then Newton polishing.  A row whose
+    leading coefficient is zero or below rounding next to the others (it would hide the
+    small roots) drops it.
     """
     n, degree = len(coeffs), coeffs.shape[1] - 1
     if degree <= 0:
@@ -114,9 +116,30 @@ def _real_roots(coeffs: np.ndarray) -> np.ndarray:
     companion = np.zeros((n, degree, degree))
     companion[:, 1:, :-1] = np.eye(degree - 1)
     companion[:, :, -1] = -coeffs[:, :-1] / coeffs[:, -1:]
-    roots = np.linalg.eigvals(companion)
+    roots = _polish(coeffs, np.linalg.eigvals(companion))
     real = np.abs(roots.imag) <= REAL_ROOT_TOL * (1.0 + np.abs(roots.real))
     return np.where(real, roots.real, np.inf)
+
+
+def _polish(coeffs: np.ndarray, roots: np.ndarray) -> np.ndarray:
+    """Newton steps on each (complex) root of each row, kept where they shrink |p|.
+
+    A leading coefficient far below the others makes the companion matrix
+    badly scaled, and its eigenvalues can miss the small roots by tens of
+    percent; Newton's method from there restores them.
+    """
+    polyval = np.polynomial.polynomial.polyval
+    rows = coeffs.T[:, :, None]
+    slopes = (coeffs[:, 1:] * np.arange(1, coeffs.shape[1])).T[:, :, None]
+    value = polyval(roots, rows, tensor=False)
+    for _ in range(POLISH_STEPS):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            stepped = roots - value / polyval(roots, slopes, tensor=False)
+            stepped_value = polyval(stepped, rows, tensor=False)
+            better = np.abs(stepped_value) < np.abs(value)
+        roots = np.where(better, stepped, roots)
+        value = np.where(better, stepped_value, value)
+    return roots
 
 
 class ClampedPolynomials:

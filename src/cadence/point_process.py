@@ -21,8 +21,8 @@ from .intensity import (
     intensity_on_grid,
 )
 
-BISECTION_TOL_DAYS = 1e-6
-BISECTION_MAX_ITER = 60
+QUANTILE_TOL_DAYS = 1e-6  # a Newton step this short leaves an error far below it
+QUANTILE_MAX_ITER = 60
 
 
 @dataclass(frozen=True)
@@ -115,7 +115,9 @@ class MixtureSurvival:
 
     One ``ClampedPolynomials`` over all draws: survival(u) is the mean
     over draws of exp(-integral of the rate over [t_c, t_c + u]), exact
-    for every u with no table.
+    for every u with no table.  Each evaluation keeps those per-draw
+    survivals, so the mixture density at the same u costs one polynomial
+    evaluation more.
     """
 
     def __init__(
@@ -133,27 +135,52 @@ class MixtureSurvival:
         self.t_c = float(t_c)
         self.horizon = float(horizon)
         self._rates = ClampedPolynomials(draws, clamp_floor)
+        self._per_draw = np.ones(len(draws))  # each draw's survival at the last u evaluated
 
     def __call__(self, u: float) -> float:
         if u < 0:
             raise ValueError("look-ahead u must be non-negative")
         u = min(u, self.horizon)
-        return float(np.exp(-self._rates.integral(self.t_c, self.t_c + u)).mean())
+        self._per_draw = np.exp(-self._rates.integral(self.t_c, self.t_c + u))
+        return float(self._per_draw.mean())
 
-    def quantile(self, level: float) -> float | None:
-        """Waiting time u with survival(u) == level, or None beyond the horizon."""
-        if self(self.horizon) > level:
+    def _density(self, u: float, per_draw) -> float:
+        """Mixture density of the waiting time: mean over draws of rate(t_c + u) * survival(u)."""
+        rate = np.polynomial.polynomial.polyval(self.t_c + u, self._rates.coeffs.T)
+        return float((np.maximum(rate, self._rates.floor) * per_draw).mean())
+
+    def quantile(self, level: float, at_horizon: float | None = None) -> float | None:
+        """Waiting time u with survival(u) == level, or None beyond the horizon.
+
+        ``at_horizon`` is survival(horizon) when the caller has it already.
+        Newton's method on log survival, starting with the step off u = 0
+        (where survival is 1 and the density is the mean rate), kept inside
+        the bracket that each evaluation narrows; a step that would leave
+        it bisects instead.
+        """
+        if at_horizon is None:
+            at_horizon = self(self.horizon)
+        if at_horizon > level:
             return None
-        lo, hi = 0.0, self.horizon
-        for _ in range(BISECTION_MAX_ITER):
-            mid = 0.5 * (lo + hi)
-            if self(mid) > level:
-                lo = mid
+        lo, hi = 0.0, self.horizon  # survival(lo) > level >= survival(hi)
+        u = _newton_step(0.0, 1.0, self._density(0.0, 1.0), level, lo, hi)
+        for _ in range(QUANTILE_MAX_ITER):
+            value = self(u)
+            if value > level:
+                lo = u
             else:
-                hi = mid
-            if hi - lo <= BISECTION_TOL_DAYS:
-                break
-        return 0.5 * (lo + hi)
+                hi = u
+            step = _newton_step(u, value, self._density(u, self._per_draw), level, lo, hi)
+            if abs(step - u) <= QUANTILE_TOL_DAYS or hi - lo <= QUANTILE_TOL_DAYS:
+                return step
+            u = step
+        return u
+
+
+def _newton_step(u: float, value: float, density: float, level: float, lo: float, hi: float) -> float:
+    """Newton step for log survival(u) = log level, or the midpoint of (lo, hi) if it leaves it."""
+    step = u + value * math.log(value / level) / density if value > 0 and density > 0 else math.nan
+    return step if lo < step < hi else 0.5 * (lo + hi)
 
 
 def mixture_next_arrival(
@@ -170,11 +197,12 @@ def mixture_next_arrival(
     still exceeds one half ("no arrival expected before the horizon").
     """
     survival = MixtureSurvival(draws, t_c, horizon, clamp_floor=clamp_floor)
-    censored = survival(horizon) > 0.5
+    at_horizon = survival(horizon)
+    censored = at_horizon > 0.5
 
-    median_u = None if censored else survival.quantile(0.5)
-    lower_u = survival.quantile(0.975)
-    upper_u = survival.quantile(0.025)
+    median_u = None if censored else survival.quantile(0.5, at_horizon)
+    lower_u = survival.quantile(0.975, at_horizon)
+    upper_u = survival.quantile(0.025, at_horizon)
     return ArrivalPrediction(
         cutoff=t_c,
         horizon=horizon,

@@ -131,7 +131,7 @@ class TestCriterion4SamplerCorrectness:
         start = time.perf_counter()
 
         config = SamplerConfig(chains=4, draws=1000, warmup=1000, seed=1)
-        samples = sample_posterior(lambda b: -0.5 * float(b @ b), [0.0], [1.0], config)
+        samples = sample_posterior(lambda s: -0.5 * (s * s).sum(axis=1), [0.0], [1.0], config)
         flat = samples.flat_draws()[:, 0]
         normal_ok = (
             abs(flat.mean()) < 0.05
@@ -145,11 +145,11 @@ class TestCriterion4SamplerCorrectness:
         arrivals = [0.2, 0.9, 1.7, 2.1, 2.8, 3.3, 4.1]
         n, total_time = len(arrivals), 5.0
 
-        def log_density(beta):
-            rate = beta[0]
-            if rate <= 0:
-                return -math.inf
-            return (a - 1 + n) * math.log(rate) - (b + total_time) * rate
+        def log_density(states):
+            rate = states[:, 0]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                value = (a - 1 + n) * np.log(rate) - (b + total_time) * rate
+            return np.where(rate > 0, value, -np.inf)
 
         config = SamplerConfig(chains=4, draws=1000, warmup=1000, seed=7)
         gamma_samples = sample_posterior(log_density, [1.5], [0.6], config)

@@ -51,7 +51,7 @@ class TestLogPosterior:
     def test_zero_width_window_is_prior_only(self):
         prior = GaussianPrior((2.0,), (0.5,))
         density = make_log_posterior(prior, [], 0.0)
-        assert density(np.array([1.7])) == pytest.approx(log_prior(prior, [1.7]), rel=1e-15)
+        assert density(np.array([[1.7]]))[0] == pytest.approx(log_prior(prior, [1.7]), rel=1e-15)
 
     def test_flat_prior_argmax_near_mle(self):
         # Homogeneous rate, 6 arrivals on [0, 3]: the MLE is n / T = 2.
@@ -59,7 +59,7 @@ class TestLogPosterior:
         arrivals = [0.3, 0.8, 1.2, 1.9, 2.4, 2.9]
         density = make_log_posterior(prior, arrivals, 3.0)
         grid = np.linspace(0.5, 5.0, 2001)
-        values = [density(np.array([g])) for g in grid]
+        values = density(grid[:, None])
         assert grid[int(np.argmax(values))] == pytest.approx(2.0, abs=0.01)
 
     def test_tight_prior_argmax_near_mu(self):
@@ -67,7 +67,7 @@ class TestLogPosterior:
         arrivals = [0.3, 0.8]
         density = make_log_posterior(prior, arrivals, 3.0)
         grid = np.linspace(3.5, 4.5, 2001)
-        values = [density(np.array([g])) for g in grid]
+        values = density(grid[:, None])
         assert grid[int(np.argmax(values))] == pytest.approx(4.0, abs=0.01)
 
     def test_fast_closure_matches_reference(self):
@@ -90,11 +90,17 @@ class TestLogPosterior:
         assert ((grid @ betas.T).min(axis=0) < 1e-6).sum() >= 5
         for beta in betas:
             reference = reference_log_posterior(prior, arrivals, 4.5, beta)
-            assert density(beta) == pytest.approx(reference, rel=1e-9, abs=1e-9)
+            assert density(beta[None])[0] == pytest.approx(reference, rel=1e-9, abs=1e-9)
+        # One call on all 40 states, crossing and not, matches row by row.
+        batched = density(betas)
+        assert batched.shape == (40,)
+        for beta, value in zip(betas, batched):
+            reference = reference_log_posterior(prior, arrivals, 4.5, beta)
+            assert value == pytest.approx(reference, rel=1e-9, abs=1e-9)
 
 
-def standard_normal(beta):
-    return -0.5 * float(beta @ beta)
+def standard_normal(states):
+    return -0.5 * (states * states).sum(axis=1)
 
 
 class TestSamplePosterior:
@@ -114,11 +120,11 @@ class TestSamplePosterior:
         arrivals = [0.2, 0.9, 1.7, 2.1, 2.8, 3.3, 4.1]
         n, total_time = len(arrivals), 5.0
 
-        def log_density(beta):
-            rate = beta[0]
-            if rate <= 0:
-                return -math.inf
-            return (a - 1 + n) * math.log(rate) - (b + total_time) * rate
+        def log_density(states):
+            rate = states[:, 0]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                value = (a - 1 + n) * np.log(rate) - (b + total_time) * rate
+            return np.where(rate > 0, value, -np.inf)
 
         config = SamplerConfig(chains=4, draws=1000, warmup=1000, seed=7)
         samples = sample_posterior(log_density, [1.5], [0.6], config)
@@ -131,8 +137,8 @@ class TestSamplePosterior:
         rho = 0.8
         precision = np.linalg.inv(np.array([[1.0, rho], [rho, 1.0]]))
 
-        def log_density(beta):
-            return -0.5 * float(beta @ precision @ beta)
+        def log_density(states):
+            return -0.5 * np.einsum("ki,ij,kj->k", states, precision, states)
 
         config = SamplerConfig(chains=4, draws=1000, warmup=1000, seed=11)
         samples = sample_posterior(log_density, [0.0, 0.0], [1.0, 1.0], config)
@@ -146,6 +152,18 @@ class TestSamplePosterior:
         assert np.array_equal(first.draws, second.draws)
         assert first.acceptance == second.acceptance
 
+    def test_chains_do_not_depend_on_the_chain_count(self):
+        # Each chain draws from its own child of the seed, so the first two
+        # chains of a 4-chain run are those of a 2-chain run.
+        prior = GaussianPrior((1.5, 0.2, -0.05, 0.01), (1.0, 0.5, 0.2, 0.1))
+        density = make_log_posterior(prior, [0.4, 1.1, 2.7, 3.9], 4.5)
+        two = sample_posterior(density, prior.mu, prior.sigma,
+                               SamplerConfig(chains=2, draws=200, warmup=200, seed=3))
+        four = sample_posterior(density, prior.mu, prior.sigma,
+                                SamplerConfig(chains=4, draws=200, warmup=200, seed=3))
+        assert four.draws[:2].tobytes() == two.draws.tobytes()
+        assert four.acceptance[:2] == two.acceptance
+
     def test_symmetric_target_symmetric_draws(self):
         config = SamplerConfig(chains=4, draws=1000, warmup=1000, seed=5)
         samples = sample_posterior(standard_normal, [0.0], [1.0], config)
@@ -156,7 +174,7 @@ class TestSamplePosterior:
     def test_non_finite_initialization_errors(self):
         config = SamplerConfig(chains=2, draws=50, warmup=10, seed=0)
         with pytest.raises(RuntimeError, match="initialization"):
-            sample_posterior(lambda b: -math.inf, [0.0], [1.0], config)
+            sample_posterior(lambda states: np.full(len(states), -np.inf), [0.0], [1.0], config)
 
 
     def test_too_few_total_draws_rejected(self):

@@ -148,6 +148,7 @@ class TestClampedPolynomials:
     )
     @settings(max_examples=200, deadline=None)
     @example(coeffs=[-1.0 + 1e-6, 3.0, -3.0, 1.0], lead=1.0, x=0.0, y=2.0)  # root where p' = 0
+    @example(coeffs=[0.5, -1.0, 1.0], lead=1e-15, x=0.0, y=1.0)  # eigvals put the root at 0.625
     def test_single_row_matches_adaptive_quadrature(self, coeffs, lead, x, y):
         # Any degree, with a leading term down to rounding next to the rest.
         coeffs = [*coeffs[:-1], coeffs[-1] * lead]
@@ -159,6 +160,8 @@ class TestClampedPolynomials:
 
         oracle, _ = scipy.integrate.quad(rate, a, b, points=floor_crossings(coeffs, floor, a, b)
                                          or None, epsabs=0.0, epsrel=1e-12, limit=200)
+        value = ClampedPolynomials(coeffs, floor).integral(a, b)[0]
+        assert value == pytest.approx(oracle, rel=1e-9, abs=1e-12)
         assert clamped_integral(coeffs, floor, a, b) == pytest.approx(oracle, rel=1e-9, abs=1e-12)
 
     def test_rows_are_independent(self):

@@ -142,6 +142,14 @@ class TestNextArrivalSurvival:
         assert all(0.0 < v <= 1.0 for v in values)
 
 
+class CountingSurvival(MixtureSurvival):
+    calls = 0
+
+    def __call__(self, u):
+        self.calls += 1
+        return super().__call__(u)
+
+
 class TestMixtureNextArrival:
     def test_degenerate_exponential_quantiles(self):
         draws = np.tile([1.0, 0.0, 0.0, 0.0], (200, 1))
@@ -187,6 +195,31 @@ class TestMixtureNextArrival:
         assert exact_survival(prediction.point_estimate - t_c) == pytest.approx(0.5, abs=1e-5)
         assert exact_survival(prediction.lower_95 - t_c) == pytest.approx(0.975, abs=1e-5)
         assert exact_survival(prediction.upper_95 - t_c) == pytest.approx(0.025, abs=1e-5)
+
+    @pytest.mark.parametrize("mean, spread, t_c, horizon", [
+        ((6.0, 0.5, -0.05, 0.002), (1.0, 0.3, 0.1, 0.01), 4.5, 2.5),  # dense arrivals
+        ((1.0, 0.1, 0.0, 0.0), (0.5, 0.1, 0.05, 0.01), 2.0, 5.0),  # sparse arrivals
+        ((2.0, -1.2, 0.0, 0.04), (0.1, 0.05, 0.01, 0.002), 1.0, 6.0),  # floor plateau
+        ((0.2, 0.0), (0.19, 1e-9), 0.0, 40.0),  # some draws at the floor: survival stays high
+    ])
+    def test_newton_quantile_matches_bisection(self, mean, spread, t_c, horizon):
+        rng = np.random.default_rng(12)
+        draws = rng.normal(mean, spread, size=(2000, len(mean)))
+        survival = CountingSurvival(draws, t_c, horizon)
+        evaluations = 0
+        for level in (0.975, 0.5, 0.025):
+            lo, hi = 0.0, horizon
+            if survival(hi) > level:
+                assert survival.quantile(level) is None
+                continue
+            while hi - lo > 1e-10:
+                mid = 0.5 * (lo + hi)
+                lo, hi = (mid, hi) if survival(mid) > level else (lo, mid)
+            before = survival.calls
+            assert survival.quantile(level) == pytest.approx(0.5 * (lo + hi), abs=1e-6)
+            evaluations += survival.calls - before
+        # Bisection to 1e-6 days took about 23 evaluations per level.
+        assert evaluations <= 30
 
     def test_interval_ordering_invariant(self):
         rng = np.random.default_rng(9)
