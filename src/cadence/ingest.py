@@ -193,12 +193,11 @@ def events_to_csv(events: list[ConjunctionEvent]) -> str:
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(_CSV_COLUMNS)
     for event in events:
+        tca = format_timestamp(event.tca)
         for t in event.arrivals:
             seconds = round((event.window_days - t) * SECONDS_PER_DAY)
             created = event.tca - timedelta(seconds=seconds)
-            writer.writerow(
-                [event.event_id, format_timestamp(event.tca), format_timestamp(created)]
-            )
+            writer.writerow([event.event_id, tca, format_timestamp(created)])
     return out.getvalue()
 
 

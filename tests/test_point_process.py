@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.integrate
 import scipy.optimize
+import scipy.stats
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -86,6 +87,23 @@ class TestSimulateThinning:
                            for seed in range(10_000)])
         stderr = counts.std(ddof=1) / math.sqrt(len(counts))
         assert abs(counts.mean() - expected) <= 3 * stderr
+
+    def test_arrival_times_follow_cumulative_intensity(self):
+        # Given their count, NHPP arrivals are iid with CDF Lambda(t) / Lambda(end),
+        # so the pooled transformed times are Uniform(0, 1).  This rate dips
+        # below the floor mid-window.
+        model = PolynomialIntensity((2.0, -1.2, 0.0, 0.04))
+        window = ObservationWindow(0.0, 7.0)
+        total = cumulative_intensity(model, window.start, window.end)
+        transformed = []
+        for seed in range(1000):
+            arrivals = simulate_thinning(model, window, seed)
+            assert all(a < b for a, b in zip(arrivals, arrivals[1:]))
+            assert all(window.start <= t <= window.end for t in arrivals)
+            transformed += [cumulative_intensity(model, window.start, t) / total
+                            for t in arrivals]
+        assert len(transformed) > 5000
+        assert scipy.stats.kstest(transformed, "uniform").pvalue > 1e-4
 
 
 class TestThinningRateBound:
