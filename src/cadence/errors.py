@@ -19,7 +19,3 @@ class RowError(FormatError):
 
 class InsufficientHistoryError(CadenceError, ValueError):
     """Not enough arrivals before the cutoff to condition a prediction on."""
-
-
-class DiagnosticsError(CadenceError, RuntimeError):
-    """Convergence diagnostics rejected the posterior samples."""

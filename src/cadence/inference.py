@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .intensity import clamped_integral
+from .intensity import bernstein_matrix, clamped_integral
 from .priors import GaussianPrior
 
 logger = logging.getLogger(__name__)
@@ -102,15 +102,11 @@ def make_log_posterior(
     norm_const = float(np.sum(-np.log(sigma) - LOG_SQRT_TWO_PI))
 
     if t_c > 0:
-        scale = t_c ** np.arange(dim)
-        moments = t_c * scale / np.arange(1, dim + 1)
-        # Bernstein coefficient k on [0, t_c]: sum_{j<=k} C(k,j)/C(d,j) t_c^j beta_j.
-        to_bernstein = np.array([[math.comb(k, j) / math.comb(dim - 1, j) for j in range(dim)]
-                                 for k in range(dim)]) * scale
+        moments = t_c * t_c ** np.arange(dim) / np.arange(1, dim + 1)
         arrival_powers = np.vander(np.asarray(arrivals, dtype=float), dim, increasing=True)
         # One product gives the Bernstein coefficients, the rate at each arrival
         # and the integral of the unclamped rate.
-        design = np.vstack([to_bernstein, arrival_powers, moments]).T
+        design = np.vstack([bernstein_matrix(dim, 0.0, t_c), arrival_powers, moments]).T
 
     def density(states: np.ndarray) -> np.ndarray:
         z = (states - mu) / sigma

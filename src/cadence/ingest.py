@@ -1,4 +1,4 @@
-"""CDM metadata ingestion: CSV and KVN parsing, event assembly, cutoff split.
+"""CDM metadata ingestion: CSV parsing, event assembly, cutoff split.
 
 Arrival times live in "window coordinates": t = 0 at (TCA - window_days)
 and t = window_days exactly at the TCA, measured in days.
@@ -16,7 +16,6 @@ from .errors import FormatError, InsufficientHistoryError, RowError
 logger = logging.getLogger(__name__)
 
 _CSV_COLUMNS = ("event_id", "tca", "creation_date")
-_KVN_KEYS = {"CCSDS_CDM_VERS", "CREATION_DATE", "TCA", "MESSAGE_ID"}
 
 SECONDS_PER_DAY = 86400.0
 
@@ -44,7 +43,6 @@ class CdmRecord:
     event_id: str
     tca: datetime
     creation_date: datetime
-    message_id: str | None = None
 
     def __post_init__(self):
         if not self.event_id:
@@ -102,39 +100,6 @@ def parse_csv(data: bytes) -> list[CdmRecord]:
         except (FormatError, ValueError) as exc:
             raise RowError(line, str(exc)) from exc
     return records
-
-
-def parse_kvn(data: bytes) -> CdmRecord:
-    """Parse a single CCSDS-style KVN message (KEY = VALUE lines).
-
-    Recognized keys: CCSDS_CDM_VERS, CREATION_DATE, TCA, MESSAGE_ID.
-    COMMENT lines and unknown keys are ignored.  The event id is the
-    MESSAGE_ID with any trailing revision suffix after the last '.'
-    stripped.
-    """
-    text = data.decode("utf-8")
-    fields: dict[str, str] = {}
-    for raw_line in text.splitlines():
-        line = raw_line.strip()
-        if not line or line.startswith("COMMENT"):
-            continue
-        if "=" not in line:
-            continue
-        key, _, value = line.partition("=")
-        key = key.strip()
-        if key in _KVN_KEYS:
-            fields[key] = value.strip()
-    for required in ("CREATION_DATE", "TCA", "MESSAGE_ID"):
-        if required not in fields:
-            raise FormatError(f"{required} missing")
-    message_id = fields["MESSAGE_ID"]
-    event_id = message_id.rsplit(".", 1)[0] if "." in message_id else message_id
-    return CdmRecord(
-        event_id=event_id,
-        tca=parse_timestamp(fields["TCA"]),
-        creation_date=parse_timestamp(fields["CREATION_DATE"]),
-        message_id=message_id,
-    )
 
 
 def assemble_events(records: list[CdmRecord], window_days: float) -> list[ConjunctionEvent]:

@@ -2,11 +2,13 @@
 
 The intensity lambda(t) = beta_0 + beta_1 t + ... + beta_m t^m is clamped
 below at a small positive floor so that rates and log-likelihoods stay
-finite.  Integrals of the clamped rate are exact: the real roots of
+finite.  Integrals of the clamped rate are exact: the sign changes of
 p - floor split an interval into pieces on which the rate is either the
-polynomial or the floor.  ``ClampedPolynomials`` integrates many
-polynomials at once (posterior draws); ``clamped_integral`` and
-``clamped_maximum`` take one polynomial in plain floats.
+polynomial or the floor.  They come from one bracketed root finding
+(``_sign_cuts``), skipped where the Bernstein coefficients share a sign.
+``ClampedPolynomials`` integrates many polynomials at once (posterior
+draws); ``clamped_integral`` and ``clamped_maximum`` take one polynomial
+in plain floats.
 """
 from __future__ import annotations
 
@@ -20,10 +22,6 @@ from .ingest import ConjunctionEvent
 from .priors import GaussianPrior
 
 DEFAULT_CLAMP_FLOOR = 1e-6
-# A root whose imaginary part is below this (relative) counts as real: such a
-# pair marks a near-tangency, where either branch of the clamp is exact.
-REAL_ROOT_TOL = 1e-7
-POLISH_STEPS = 2  # Newton steps on each eigenvalue root
 ROOT_MAX_ITER = 100  # bisection alone would narrow a 7-day bracket past 1e-28 days
 # A root found to this (relative) step moves an integral by about
 # |p'| (1e-9 |r|)^2 / 2: below rounding.
@@ -97,78 +95,20 @@ def intensity_on_grid(model: PolynomialIntensity, t: np.ndarray) -> np.ndarray:
     return np.maximum(raw, model.clamp_floor)
 
 
-def _real_roots(coeffs: np.ndarray) -> np.ndarray:
-    """Real roots of each row's polynomial (ascending powers), inf-padded to (n, max(d, 1)).
+def bernstein_matrix(n_coeffs: int, lo: float, hi: float) -> np.ndarray:
+    """Matrix taking ascending power coefficients to Bernstein coefficients on [lo, hi].
 
-    One batched companion-matrix eigenvalue call, then Newton polishing.  A row whose
-    leading coefficient is zero or below rounding next to the others (it would hide the
-    small roots) drops it.
+    Coefficient k is sum_{i<=k} C(k,i)/C(d,i) a_i, where a_i are the power
+    coefficients in s = (t - lo) / (hi - lo): a_i = sum_{j>=i} C(j,i) lo^(j-i)
+    (hi - lo)^i beta_j.  The polynomial on [lo, hi] lies between its
+    smallest and largest Bernstein coefficient.
     """
-    n, degree = len(coeffs), coeffs.shape[1] - 1
-    if degree <= 0:
-        return np.full((n, 1), np.inf)
-    full = np.abs(coeffs[:, -1]) > np.finfo(float).eps * np.abs(coeffs[:, :-1]).max(axis=1)
-    if not full.all():
-        out = np.full((n, degree), np.inf)
-        out[full] = _real_roots(coeffs[full])
-        out[~full, : max(degree - 1, 1)] = _real_roots(coeffs[~full, :-1])
-        return out
-    companion = np.zeros((n, degree, degree))
-    companion[:, 1:, :-1] = np.eye(degree - 1)
-    companion[:, :, -1] = -coeffs[:, :-1] / coeffs[:, -1:]
-    roots = _polish(coeffs, np.linalg.eigvals(companion))
-    real = np.abs(roots.imag) <= REAL_ROOT_TOL * (1.0 + np.abs(roots.real))
-    return np.where(real, roots.real, np.inf)
-
-
-def _polish(coeffs: np.ndarray, roots: np.ndarray) -> np.ndarray:
-    """Newton steps on each (complex) root of each row, kept where they shrink |p|.
-
-    A leading coefficient far below the others makes the companion matrix
-    badly scaled, and its eigenvalues can miss the small roots by tens of
-    percent; Newton's method from there restores them.
-    """
-    polyval = np.polynomial.polynomial.polyval
-    rows = coeffs.T[:, :, None]
-    slopes = (coeffs[:, 1:] * np.arange(1, coeffs.shape[1])).T[:, :, None]
-    value = polyval(roots, rows, tensor=False)
-    for _ in range(POLISH_STEPS):
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            stepped = roots - value / polyval(roots, slopes, tensor=False)
-            stepped_value = polyval(stepped, rows, tensor=False)
-            better = np.abs(stepped_value) < np.abs(value)
-        roots = np.where(better, stepped, roots)
-        value = np.where(better, stepped_value, value)
-    return roots
-
-
-class ClampedPolynomials:
-    """Rates max(p_k(t), floor) for polynomials p_k, coefficients (n, d+1) ascending.
-
-    Integrals are exact, from the real roots of p_k - floor (one batched
-    eigenvalue call for all rows).
-    """
-
-    def __init__(self, coeffs, floor: float):
-        self.coeffs = np.atleast_2d(np.asarray(coeffs, dtype=float))
-        self.floor = float(floor)
-        shifted = self.coeffs - self.floor * (np.arange(self.coeffs.shape[1]) == 0)
-        ends = np.full((len(shifted), 1), np.inf)
-        # -inf, the sorted real roots of p - floor (inf where absent), inf.
-        self._knots = np.hstack([-ends, np.sort(_real_roots(shifted), axis=1), ends])
-
-    def integral(self, a: float, b: float) -> np.ndarray:
-        """Integral of each clamped rate over [a, b], shape (n,).
-
-        Between knots p - floor keeps one sign, so each piece takes the larger
-        of the antiderivative's increment and the floor times its length.
-        """
-        if a > b:
-            raise ValueError("interval start must not exceed its end")
-        points = np.minimum(np.maximum(self._knots, a), b)  # a <= r_1 <= ... <= b
-        scaled = self.coeffs / np.arange(1, self.coeffs.shape[1] + 1)  # antiderivative / t
-        anti = points * np.polynomial.polynomial.polyval(points, scaled.T[:, :, None], tensor=False)
-        return np.maximum(np.diff(anti), self.floor * np.diff(points)).sum(axis=1)
+    powers = range(n_coeffs)
+    to_bernstein = np.array([[math.comb(k, i) / math.comb(n_coeffs - 1, i) for i in powers]
+                             for k in powers])
+    shift = np.array([[math.comb(j, i) * lo ** (j - i) if j >= i else 0.0 for j in powers]
+                      for i in powers])
+    return to_bernstein @ (shift * (hi - lo) ** np.arange(n_coeffs)[:, None])
 
 
 def _horner(coeffs: list[float], t: float) -> float:
@@ -183,6 +123,9 @@ def _bracketed_root(coeffs, lo: float, hi: float, v_lo: float, v_hi: float) -> f
 
     Newton's method from the secant point, kept inside the shrinking bracket:
     a step that leaves it, or that does not halve the step before, bisects.
+    A Newton step within the tolerance ends the search even when it leaves
+    the bracket: x has just become one of its ends, so only rounding in p
+    can point the step outward.
     """
     x, step = lo - v_lo * (hi - lo) / (v_hi - v_lo), hi - lo
     for _ in range(ROOT_MAX_ITER):
@@ -197,6 +140,8 @@ def _bracketed_root(coeffs, lo: float, hi: float, v_lo: float, v_hi: float) -> f
         else:
             hi = x
         newton = x - v / slope if slope else math.inf
+        if abs(newton - x) <= ROOT_XTOL * (1.0 + abs(x)):
+            return newton
         if lo < newton < hi and abs(newton - x) < 0.5 * abs(step):
             step, x = newton - x, newton
         else:
@@ -242,10 +187,9 @@ def clamped_integral(coeffs, floor: float, a: float, b: float) -> float:
     """Integral of max(p, floor) over [a, b] for one polynomial, ascending coefficients.
 
     ``ClampedPolynomials.integral`` for a single row, in plain floats with
-    the sign changes of p - floor from ``_sign_cuts``: for callers that
-    integrate one polynomial at a time (the sampler's log-density), where
-    array overhead and an eigenvalue call would cost several times the
-    rest of the call.
+    the same ``_sign_cuts``: for callers that integrate one polynomial at
+    a time (the sampler's log-density), where array overhead would cost
+    several times the rest of the call.
     """
     if a > b:
         raise ValueError("interval start must not exceed its end")
@@ -262,6 +206,44 @@ def clamped_maximum(coeffs, floor: float, a: float, b: float) -> float:
     coeffs = np.asarray(coeffs, dtype=float).tolist()
     slopes = [j * c for j, c in enumerate(coeffs)][1:]
     return max(floor, *(_horner(coeffs, t) for t in (a, b, *_sign_cuts(slopes, a, b))))
+
+
+class ClampedPolynomials:
+    """Rates max(p_k(t), floor) on [lo, hi] for polynomials p_k, coefficients (n, d+1) ascending.
+
+    Each row's knots are found once: a row whose Bernstein coefficients of
+    p_k - floor on [lo, hi] share a sign keeps that sign there and has
+    none; the others take theirs from ``_sign_cuts``.  Integrals over any
+    [a, b] inside the span are then exact and batched over rows.
+    """
+
+    def __init__(self, coeffs, floor: float, lo: float, hi: float):
+        self.coeffs = np.atleast_2d(np.asarray(coeffs, dtype=float))
+        self.floor = float(floor)
+        self.lo, self.hi = float(lo), float(hi)
+        shifted = self.coeffs - self.floor * (np.arange(self.coeffs.shape[1]) == 0)
+        bernstein = shifted @ bernstein_matrix(shifted.shape[1], self.lo, self.hi).T
+        mixed = ((bernstein.min(axis=1) < 0.0) & (bernstein.max(axis=1) > 0.0)).nonzero()[0]
+        cuts = [_sign_cuts(row, self.lo, self.hi) for row in shifted[mixed].tolist()]
+        # lo, the sorted sign cuts of p - floor (hi where absent), hi.
+        self._knots = np.full((len(shifted), max(map(len, cuts), default=0) + 2), self.hi)
+        self._knots[:, 0] = self.lo
+        for row, row_cuts in zip(mixed, cuts):
+            self._knots[row, 1 : len(row_cuts) + 1] = row_cuts
+        self._scaled = self.coeffs / np.arange(1, self.coeffs.shape[1] + 1)  # antiderivative / t
+
+    def integral(self, a: float, b: float) -> np.ndarray:
+        """Integral of each clamped rate over [a, b], lo <= a <= b <= hi, shape (n,).
+
+        Between knots p - floor keeps one sign, so each piece takes the larger
+        of the antiderivative's increment and the floor times its length.
+        """
+        if not self.lo <= a <= b <= self.hi:
+            raise ValueError(f"interval [{a}, {b}] is not ordered within [{self.lo}, {self.hi}]")
+        points = np.minimum(np.maximum(self._knots, a), b)  # a <= k_1 <= ... <= b
+        anti = points * np.polynomial.polynomial.polyval(points, self._scaled.T[:, :, None],
+                                                         tensor=False)
+        return np.maximum(np.diff(anti), self.floor * np.diff(points)).sum(axis=1)
 
 
 def cumulative_intensity(model: PolynomialIntensity, a: float, b: float) -> float:

@@ -4,9 +4,11 @@ Counts over an interval are Poisson with mean equal to the integrated
 (clamped) intensity; the next-arrival survival from a cutoff is the void
 probability of the interval beyond it.  Integrals and the thinning bound
 are exact (``intensity.ClampedPolynomials`` over posterior draws,
-``clamped_integral`` and ``clamped_maximum`` for one rate).  Thinning
-draws an event's candidates as a Poisson count of sorted uniform times at
-the bound and accepts them with one rate evaluation.
+``clamped_integral`` and ``clamped_maximum`` for one rate): their pieces
+come from bracketed root finding, skipped where the Bernstein
+coefficients share a sign.  Thinning draws an event's candidates as a
+Poisson count of sorted uniform times at the bound and accepts them with
+one rate evaluation.
 """
 from __future__ import annotations
 
@@ -112,11 +114,11 @@ def next_arrival_survival(model: PolynomialIntensity, t_c: float, u: float) -> f
 class MixtureSurvival:
     """Posterior-mixture survival of the next arrival beyond a cutoff.
 
-    One ``ClampedPolynomials`` over all draws: survival(u) is the mean
-    over draws of exp(-integral of the rate over [t_c, t_c + u]), exact
-    for every u with no table.  Each evaluation keeps those per-draw
-    survivals, so the mixture density at the same u costs one polynomial
-    evaluation more.
+    One ``ClampedPolynomials`` over all draws on [t_c, t_c + horizon]:
+    survival(u) is the mean over draws of exp(-integral of the rate over
+    [t_c, t_c + u]), exact for every u with no table.  Each evaluation
+    keeps those per-draw survivals, so the mixture density at the same u
+    costs one polynomial evaluation more.
     """
 
     def __init__(
@@ -133,7 +135,7 @@ class MixtureSurvival:
             raise ValueError("horizon must be positive")
         self.t_c = float(t_c)
         self.horizon = float(horizon)
-        self._rates = ClampedPolynomials(draws, clamp_floor)
+        self._rates = ClampedPolynomials(draws, clamp_floor, self.t_c, self.t_c + self.horizon)
         self._per_draw = np.ones(len(draws))  # each draw's survival at the last u evaluated
 
     def __call__(self, u: float) -> float:

@@ -4,7 +4,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 
-from .errors import CadenceError, DiagnosticsError, InsufficientHistoryError
+from .errors import CadenceError, InsufficientHistoryError
 from .inference import PosteriorSamples, SamplerConfig, make_log_posterior, sample_posterior
 from .ingest import ConjunctionEvent, split_at_time
 from .point_process import ArrivalPrediction, mixture_next_arrival
@@ -45,21 +45,17 @@ def posterior_for_event(
     t_c: float,
     sampler: SamplerConfig,
     clamp_floor: float = 1e-6,
-    strict_diagnostics: bool = False,
 ) -> PosteriorSamples:
     """Sample the coefficient posterior given the history observed on [0, t_c].
 
-    Samples whose split R-hat exceeds the gate threshold trigger a
-    warning, or a DiagnosticsError when strict.
+    Samples whose split R-hat exceeds the gate threshold trigger a warning.
     """
     density = make_log_posterior(prior, history, t_c, clamp_floor=clamp_floor)
     samples = sample_posterior(density, prior.mu, prior.sigma, sampler)
     worst = max(samples.r_hat)
     if worst > RHAT_THRESHOLD:
-        message = f"event {event_id}: split R-hat {worst:.3f} exceeds {RHAT_THRESHOLD}"
-        if strict_diagnostics:
-            raise DiagnosticsError(message)
-        logger.warning("%s; using samples anyway", message)
+        logger.warning("event %s: split R-hat %.3f exceeds %s; using samples anyway",
+                       event_id, worst, RHAT_THRESHOLD)
     return samples
 
 
@@ -69,7 +65,6 @@ def runs_at_cutoff(
     t_c: float,
     sampler: SamplerConfig,
     clamp_floor: float = 1e-6,
-    strict_diagnostics: bool = False,
 ) -> tuple[list[PredictionRun], PosteriorSamples | None]:
     """The NHPP, naive and mean runs for one event at window time ``t_c``.
 
@@ -87,8 +82,7 @@ def runs_at_cutoff(
     try:
         history, future = split_at_time(event, t_c)
         samples = posterior_for_event(event.event_id, prior, history, t_c, sampler,
-                                      clamp_floor=clamp_floor,
-                                      strict_diagnostics=strict_diagnostics)
+                                      clamp_floor=clamp_floor)
         prediction = mixture_next_arrival(samples.flat_draws(), t_c,
                                           event.window_days - t_c, clamp_floor=clamp_floor)
     except (CadenceError, ValueError) as exc:
@@ -124,7 +118,6 @@ def predict_event_sequence(
     prior: GaussianPrior,
     sampler: SamplerConfig,
     clamp_floor: float = 1e-6,
-    strict_diagnostics: bool = False,
 ) -> list[PredictionRun]:
     """Sequentially predict each arrival from the ones before it.
 
@@ -140,6 +133,5 @@ def predict_event_sequence(
     for t_c in arrivals[:-1]:
         if event.window_days - t_c <= 0:
             break
-        runs += runs_at_cutoff(event, prior, t_c, sampler, clamp_floor=clamp_floor,
-                               strict_diagnostics=strict_diagnostics)[0]
+        runs += runs_at_cutoff(event, prior, t_c, sampler, clamp_floor=clamp_floor)[0]
     return runs

@@ -130,14 +130,14 @@ class TestCriterion4SamplerCorrectness:
     def test_normal_and_conjugate_targets(self, capsys):
         start = time.perf_counter()
 
-        config = SamplerConfig(chains=4, draws=1000, warmup=1000, seed=1)
+        config = SamplerConfig(chains=4, draws=10000, warmup=1000, seed=1)
         samples = sample_posterior(lambda s: -0.5 * (s * s).sum(axis=1), [0.0], [1.0], config)
         flat = samples.flat_draws()[:, 0]
         normal_ok = (
             abs(flat.mean()) < 0.05
             and abs(flat.var() - 1.0) < 0.15
             and samples.r_hat[0] < 1.05
-            and samples.ess[0] > 500
+            and samples.ess[0] > 5000
         )
 
         # Homogeneous rate with Gamma(2, 1) prior: posterior Gamma(2 + n, 1 + T).

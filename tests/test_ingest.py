@@ -12,7 +12,6 @@ from cadence.ingest import (
     assemble_events,
     events_to_csv,
     parse_csv,
-    parse_kvn,
     split_at_cutoff,
 )
 
@@ -53,43 +52,6 @@ class TestParseCsv:
     def test_crlf_line_endings(self):
         data = b"event_id,tca,creation_date\r\nE1,2023-01-10T00:00:00Z,2023-01-03T12:00:00Z\r\n"
         assert len(parse_csv(data)) == 1
-
-
-class TestParseKvn:
-    def test_basic_message(self):
-        data = (
-            b"CREATION_DATE = 2023-01-03T12:00:00\n"
-            b"TCA = 2023-01-10T00:00:00\n"
-            b"MESSAGE_ID = E1.003\n"
-        )
-        record = parse_kvn(data)
-        assert record.event_id == "E1"
-        assert record.message_id == "E1.003"
-        assert record.creation_date == utc(2023, 1, 3, 12)
-        assert record.tca == utc(2023, 1, 10)
-
-    def test_missing_creation_date(self):
-        with pytest.raises(FormatError, match="CREATION_DATE missing"):
-            parse_kvn(b"TCA = 2023-01-10T00:00:00\nMESSAGE_ID = X.1\n")
-
-    def test_comment_lines_ignored(self):
-        data = (
-            b"COMMENT screening run\n"
-            b"CREATION_DATE = 2023-01-03T12:00:00\n"
-            b"TCA = 2023-01-10T00:00:00\n"
-            b"MESSAGE_ID = X.1\n"
-        )
-        assert parse_kvn(data).event_id == "X"
-
-    def test_unknown_keys_ignored(self):
-        data = (
-            b"CCSDS_CDM_VERS = 1.0\n"
-            b"ORIGINATOR = JSPOC\n"
-            b"CREATION_DATE = 2023-01-03T12:00:00\n"
-            b"TCA = 2023-01-10T00:00:00\n"
-            b"MESSAGE_ID = A.B.7\n"
-        )
-        assert parse_kvn(data).event_id == "A.B"
 
 
 def make_records(event_id, tca, days_before_tca):

@@ -16,6 +16,7 @@ from cadence.intensity import (
     ClampedPolynomials,
     PolynomialIntensity,
     RidgeConfig,
+    _sign_cuts,
     bin_events,
     clamped_integral,
     clamped_maximum,
@@ -136,7 +137,7 @@ class TestClampedPolynomials:
 
         oracle, _ = scipy.integrate.quad(rate, a, b, points=floor_crossings(coeffs, floor, a, b)
                                          or None, epsabs=0.0, epsrel=1e-12, limit=200)
-        value = ClampedPolynomials(coeffs, floor).integral(a, b)[0]
+        value = ClampedPolynomials(coeffs, floor, a, b).integral(a, b)[0]
         assert value == pytest.approx(oracle, rel=1e-9, abs=1e-12)
         assert clamped_integral(coeffs, floor, a, b) == pytest.approx(oracle, rel=1e-9, abs=1e-12)
 
@@ -148,7 +149,7 @@ class TestClampedPolynomials:
     )
     @settings(max_examples=200, deadline=None)
     @example(coeffs=[-1.0 + 1e-6, 3.0, -3.0, 1.0], lead=1.0, x=0.0, y=2.0)  # root where p' = 0
-    @example(coeffs=[0.5, -1.0, 1.0], lead=1e-15, x=0.0, y=1.0)  # eigvals put the root at 0.625
+    @example(coeffs=[0.5, -1.0, 1.0], lead=1e-15, x=0.0, y=1.0)  # leading term at rounding level
     def test_single_row_matches_adaptive_quadrature(self, coeffs, lead, x, y):
         # Any degree, with a leading term down to rounding next to the rest.
         coeffs = [*coeffs[:-1], coeffs[-1] * lead]
@@ -160,16 +161,41 @@ class TestClampedPolynomials:
 
         oracle, _ = scipy.integrate.quad(rate, a, b, points=floor_crossings(coeffs, floor, a, b)
                                          or None, epsabs=0.0, epsrel=1e-12, limit=200)
-        value = ClampedPolynomials(coeffs, floor).integral(a, b)[0]
+        value = ClampedPolynomials(coeffs, floor, a, b).integral(a, b)[0]
         assert value == pytest.approx(oracle, rel=1e-9, abs=1e-12)
         assert clamped_integral(coeffs, floor, a, b) == pytest.approx(oracle, rel=1e-9, abs=1e-12)
 
     def test_rows_are_independent(self):
-        coeffs = np.array([[1.0, 0.0, 0.0, 0.0], [0.5, -3.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0]])
-        batch = ClampedPolynomials(coeffs, 1e-6).integral(0.5, 2.0)
-        single = [ClampedPolynomials(row, 1e-6).integral(0.5, 2.0)[0] for row in coeffs]
+        coeffs = np.array([
+            [1.0, 0.0, 0.0, 0.0],
+            [0.5, -3.0, 0.0, 0.0],
+            [0.0, 0.0, 0.0, 1.0],
+            [3.0, -1.0, 0.0, 0.0],  # mixed signs, but 3 - t stays above the floor: no cuts
+            [0.96, -2.0, 1.0, 0.0],  # (t - 1)^2 - 0.04 crosses the floor near 0.8 and 1.2
+            [-1.0, 0.2, 0.0, 0.0],  # below the floor throughout
+        ])
+        batch = ClampedPolynomials(coeffs, 1e-6, 0.0, 2.5).integral(0.5, 2.0)
+        single = [ClampedPolynomials(row, 1e-6, 0.0, 2.5).integral(0.5, 2.0)[0] for row in coeffs]
         assert batch == pytest.approx(single, rel=1e-15)
-        assert batch == pytest.approx([1.5, 1.5e-6, (2.0**4 - 0.5**4) / 4], rel=1e-12)
+        assert batch[:3] == pytest.approx([1.5, 1.5e-6, (2.0**4 - 0.5**4) / 4], rel=1e-12)
+        for value, row in zip(batch, coeffs):
+            assert value == pytest.approx(clamped_integral(row, 1e-6, 0.5, 2.0), rel=1e-12)
+
+    def test_interval_outside_span_rejected(self):
+        rates = ClampedPolynomials([[1.0, -1.0], [0.5, 0.0]], 1e-6, 1.0, 3.0)
+        assert rates.integral(1.0, 3.0) == pytest.approx([1e-6 * 2.0, 1.0], rel=1e-12)
+        for a, b in ((0.5, 2.0), (2.0, 3.5), (2.5, 1.5)):
+            with pytest.raises(ValueError):
+                rates.integral(a, b)
+
+    def test_root_where_newton_lands_on_it(self):
+        # From the secant point Newton's steps reach the root from one side; the
+        # last one makes it the bracket's end, and rounding points the next step
+        # outward.  The search stops there instead of bisecting from the far end.
+        coeffs = [2.883086020103878, 2.030637093154307, 0.09964276285215716, -0.09448867360295944]
+        root = scipy.optimize.brentq(lambda t: np.polynomial.polynomial.polyval(t, coeffs),
+                                     4.5, 7.0, xtol=1e-15)
+        assert _sign_cuts(coeffs, 4.5, 7.0) == [pytest.approx(root, abs=1e-13)]
 
     def test_maximum_at_root_of_derivative(self):
         # p(t) = 1 + 3t - t^2 peaks at t = 1.5 with p = 3.25.
