@@ -72,9 +72,6 @@ class RunConfig:
                 raise ValueError(f"{name} must be positive")
         if self.cutoff_days_before_tca >= self.window_days:
             raise ValueError("cutoff must be smaller than the window")
-        # SamplerConfig allows warmup 0; the CLI always adapts the proposal.
-        if self.warmup < 1:
-            raise ValueError("warmup must be at least 1")
         self.sampler()
         self.ridge()
 
@@ -194,11 +191,8 @@ def fit_prior_from_events(config: RunConfig, events: list[ConjunctionEvent]) -> 
     if not events:
         raise CadenceError("no events to fit a prior from")
     ridge_config = config.ridge()
-    coefficient_sets = []
-    for event in events:
-        binned = bin_events([event], ridge_config.bin_width)
-        coefficient_sets.append(fit_ridge(binned, ridge_config, n_events=1))
-    return prior_from_fit(coefficient_sets, sigma_floor=config.sigma_floor)
+    per_event = fit_ridge(bin_events(events, ridge_config.bin_width), ridge_config)
+    return prior_from_fit(per_event, sigma_floor=config.sigma_floor)
 
 
 def cmd_fit_prior(config: RunConfig, train_csv: str, out_prior_json: str):
@@ -235,7 +229,7 @@ def _run_to_json(run: PredictionRun) -> dict:
 def _run_from_json(record: dict, window_days: float) -> PredictionRun:
     """Inverse of ``_run_to_json`` for records written with this window."""
     w = window_days
-    cutoff = _days_to_tca(w, record["cutoff_days_to_tca"])
+    cutoff = w - record["cutoff_days_to_tca"]  # every run has one; a null is malformed
     point = _days_to_tca(w, record["predicted_days_to_tca"])
     prediction = None
     if record["model"] == NHPP and "error" not in record:
@@ -303,12 +297,19 @@ def _dump_posterior_csv(directory: str, event_id: str, samples):
     _write_atomic(os.path.join(directory, f"{event_id}_posterior.csv"), "\n".join(rows) + "\n")
 
 
-def _read_runs(runs_jsonl: str) -> list[dict]:
+def _read_runs(runs_jsonl: str, window_days: float) -> list[tuple[dict, PredictionRun]]:
+    """Each record of a prediction JSONL file with its run; a malformed record is an error."""
     with open(runs_jsonl, encoding="utf-8") as handle:
-        rows = [json.loads(line) for line in handle if line.strip()]
-    if not rows:
+        records = [json.loads(line) for line in handle if line.strip()]
+    if not records:
         raise CadenceError(f"no prediction records in {runs_jsonl}")
-    return rows
+    pairs = []
+    for i, record in enumerate(records, start=1):
+        try:
+            pairs.append((record, _run_from_json(record, window_days)))
+        except (KeyError, TypeError) as exc:
+            raise CadenceError(f"{runs_jsonl}: malformed prediction record {i}: {exc!r}") from exc
+    return pairs
 
 
 def format_report_table(reports: list[MetricsReport]) -> str:
@@ -325,13 +326,7 @@ def format_report_table(reports: list[MetricsReport]) -> str:
 
 
 def cmd_evaluate(config: RunConfig, runs_jsonl: str, out_json: str):
-    runs = []
-    for i, record in enumerate(_read_runs(runs_jsonl), start=1):
-        try:
-            runs.append(_run_from_json(record, config.window_days))
-        except (KeyError, TypeError) as exc:
-            raise CadenceError(f"{runs_jsonl}: malformed prediction record {i}: {exc!r}") from exc
-    reports = score_runs(runs)
+    reports = score_runs([run for _, run in _read_runs(runs_jsonl, config.window_days)])
     payload = [asdict(r) for r in reports]
     _write_atomic(out_json, json.dumps(payload, indent=2) + "\n")
     print(format_report_table(reports))
@@ -339,7 +334,7 @@ def cmd_evaluate(config: RunConfig, runs_jsonl: str, out_json: str):
 
 def cmd_plot_data(config: RunConfig, runs_jsonl: str, event_id: str, out_csv: str):
     """Emit tidy plot data (kind,t_days_to_tca,value,model) for one event."""
-    rows = [r for r in _read_runs(runs_jsonl) if r["event_id"] == event_id]
+    rows = [r for r, run in _read_runs(runs_jsonl, config.window_days) if run.event_id == event_id]
     if not rows:
         raise CadenceError(f"unknown event_id: {event_id}")
     scored = [r for r in rows if "error" not in r]
@@ -350,23 +345,22 @@ def cmd_plot_data(config: RunConfig, runs_jsonl: str, event_id: str, out_csv: st
 
     arrival_times: set[float] = set()
     for r in scored:
-        if r.get("cutoff_days_to_tca") is not None:
-            arrival_times.add(r["cutoff_days_to_tca"])
-        if r.get("actual_days_to_tca") is not None:
+        arrival_times.add(r["cutoff_days_to_tca"])
+        if r["actual_days_to_tca"] is not None:
             arrival_times.add(r["actual_days_to_tca"])
 
     lines = ["kind,t_days_to_tca,value,model"]
     for idx, t in enumerate(sorted(arrival_times, reverse=True), start=1):
         lines.append(f"arrival,{t!r},{idx},")
     for step, r in enumerate(nhpp_rows, start=1):
-        if r.get("predicted_days_to_tca") is not None:
+        if r["predicted_days_to_tca"] is not None:
             lines.append(f"prediction,{r['predicted_days_to_tca']!r},{step},{NHPP}")
         for bound in ("lower95", "upper95"):
-            if r.get(bound) is not None:
+            if r[bound] is not None:
                 lines.append(f"bound,{r[bound]!r},{step},{NHPP}")
     for model in (NAIVE, MEAN):
         model_rows = sorted(
-            (r for r in scored if r["model"] == model and r.get("predicted_days_to_tca") is not None),
+            (r for r in scored if r["model"] == model and r["predicted_days_to_tca"] is not None),
             key=lambda r: r["cutoff_days_to_tca"], reverse=True,
         )
         for step, r in enumerate(model_rows, start=1):

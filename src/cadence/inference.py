@@ -28,27 +28,25 @@ logger = logging.getLogger(__name__)
 LOG_SQRT_TWO_PI = 0.5 * math.log(2.0 * math.pi)
 TARGET_ACCEPTANCE = 0.234
 MIN_TOTAL_DRAWS = 100  # fewest draws, over all chains, that ``ess`` accepts
+STEP_SCALE = 0.1  # first coordinate step, as a share of the prior scale
 
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    """Multi-chain sampling protocol: chain count, lengths, seed, step scale."""
+    """Multi-chain sampling protocol: chain count, lengths, seed."""
 
     chains: int = 4
     draws: int = 1000
     warmup: int = 1000
     seed: int = 0
-    step_scale: float = 0.1
 
     def __post_init__(self):
         if self.chains < 2:
             raise ValueError("at least 2 chains required for diagnostics")
-        if self.draws < 1 or self.warmup < 0:
-            raise ValueError("draws must be >= 1 and warmup >= 0")
+        if self.draws < 1 or self.warmup < 1:
+            raise ValueError("draws and warmup must be at least 1")
         if self.chains * self.draws < MIN_TOTAL_DRAWS:
             raise ValueError(f"chains * draws must be at least {MIN_TOTAL_DRAWS} for ESS")
-        if self.step_scale <= 0:
-            raise ValueError("step_scale must be positive")
 
 
 @dataclass(frozen=True)
@@ -209,7 +207,7 @@ def sample_posterior(
 
     # Stage A: per-coordinate adaptation, collecting states for the
     # covariance estimate.
-    log_scales = np.tile(np.log(config.step_scale * init_scale), (config.chains, 1))
+    log_scales = np.tile(np.log(STEP_SCALE * init_scale), (config.chains, 1))
     stage_a_states = np.empty((config.chains, max(stage_a, 1), dim))
     stage_a_states[:, 0] = x
     for it in range(stage_a):

@@ -9,6 +9,10 @@ polynomial or the floor.  They come from one bracketed root finding
 ``ClampedPolynomials`` integrates many polynomials at once (posterior
 draws); ``clamped_integral`` and ``clamped_maximum`` take one polynomial
 in plain floats.
+
+Training events share one bin grid, so ``bin_events`` counts them as rows
+of one array and ``fit_ridge`` fits every row with one Cholesky
+factorization of their shared Gram matrix.
 """
 from __future__ import annotations
 
@@ -48,18 +52,19 @@ class PolynomialIntensity:
 
 @dataclass(frozen=True)
 class BinnedCounts:
-    """Pooled arrival counts per time bin, with regression abscissae."""
+    """Arrival counts per time bin, one row per event (..., n_bins), with regression abscissae."""
 
     bin_edges: tuple[float, ...]
-    counts: tuple[int, ...]
+    counts: np.ndarray
 
     def __post_init__(self):
         edges = np.asarray(self.bin_edges)
         if len(edges) < 2 or np.any(np.diff(edges) <= 0):
             raise ValueError("bin_edges must be strictly increasing, >= 2 entries")
-        if len(self.counts) != len(edges) - 1:
+        counts = np.asarray(self.counts)
+        if counts.ndim == 0 or counts.shape[-1] != len(edges) - 1:
             raise ValueError("need exactly one count per bin")
-        if any(c < 0 for c in self.counts):
+        if np.any(counts < 0):
             raise ValueError("counts must be non-negative")
 
     @property
@@ -252,7 +257,7 @@ def cumulative_intensity(model: PolynomialIntensity, a: float, b: float) -> floa
 
 
 def bin_events(events: list[ConjunctionEvent], bin_width: float) -> BinnedCounts:
-    """Pool arrivals from all events into uniform bins over the shared window.
+    """Count each event's arrivals in uniform bins over the shared window, one row per event.
 
     A final partial bin is kept with its true width.  The last bin is
     right-inclusive so an arrival exactly at the window end is counted.
@@ -270,65 +275,58 @@ def bin_events(events: list[ConjunctionEvent], bin_width: float) -> BinnedCounts
         edges.append(window)
     else:
         edges[-1] = window
-    edges_arr = np.asarray(edges)
+    n_bins = len(edges) - 1
 
-    counts = np.zeros(len(edges) - 1, dtype=int)
-    for event in events:
-        for t in event.arrivals:
-            idx = int(np.searchsorted(edges_arr, t, side="right")) - 1
-            idx = min(max(idx, 0), len(counts) - 1)
-            counts[idx] += 1
-    return BinnedCounts(bin_edges=tuple(edges), counts=tuple(int(c) for c in counts))
+    arrivals = np.fromiter((t for e in events for t in e.arrivals), dtype=float)
+    rows = np.repeat(np.arange(len(events)), [len(e.arrivals) for e in events])
+    bins = np.clip(np.searchsorted(edges, arrivals, side="right") - 1, 0, n_bins - 1)
+    counts = np.bincount(rows * n_bins + bins, minlength=len(events) * n_bins)
+    return BinnedCounts(bin_edges=tuple(edges), counts=counts.reshape(len(events), n_bins))
 
 
-def fit_ridge(binned: BinnedCounts, config: RidgeConfig, n_events: int) -> tuple[float, ...]:
-    """Ridge-fit polynomial coefficients to per-event binned counts.
+def fit_ridge(binned: BinnedCounts, config: RidgeConfig) -> np.ndarray:
+    """Ridge-fit polynomial coefficients to each row of counts: (..., n_bins) -> (..., degree + 1).
 
-    Minimizes sum_i [N_i/n_events - lambda(t_i) dt_i]^2 + alpha * sum_j beta_j^2
-    via the normal equations, solved with a Cholesky factorization.  Counts
-    are divided by n_events so lambda is a per-event rate.
+    Row y minimizes sum_i [y_i - lambda(t_i) dt_i]^2 + alpha * sum_j beta_j^2.
+    Every row shares the bins, so all rows share one Gram matrix: one
+    Cholesky factorization solves the normal equations of every training
+    event at once.
     """
-    if n_events < 1:
-        raise ValueError("n_events must be at least 1")
     mids = binned.midpoints
     widths = binned.widths
     n_bins = len(mids)
     if config.alpha == 0 and n_bins < config.degree + 1:
         raise ValueError("need at least degree+1 bins when alpha is 0")
 
-    y = np.asarray(binned.counts, dtype=float) / n_events
+    y = np.asarray(binned.counts, dtype=float)
     powers = np.vander(mids, config.degree + 1, increasing=True)
     design = powers * widths[:, None]
 
     gram = design.T @ design + config.alpha * np.eye(config.degree + 1)
-    rhs = design.T @ y
+    rhs = y.reshape(-1, n_bins) @ design
     try:
         cho = scipy.linalg.cho_factor(gram)
-        beta = scipy.linalg.cho_solve(cho, rhs)
+        beta = scipy.linalg.cho_solve(cho, rhs.T).T
     except scipy.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError(f"singular ridge system: {exc}") from exc
 
-    residual = np.linalg.norm(gram @ beta - rhs)
-    if residual > 1e-8 * max(1.0, np.linalg.norm(rhs)):
+    residual = np.linalg.norm(beta @ gram - rhs, axis=1)
+    if np.any(residual > 1e-8 * np.maximum(1.0, np.linalg.norm(rhs, axis=1))):
         raise np.linalg.LinAlgError("normal-equation solve failed to converge")
-    return tuple(float(b) for b in beta)
+    return beta.reshape(y.shape[:-1] + (config.degree + 1,))
 
 
-def prior_from_fit(
-    per_event_coefficients: list[tuple[float, ...]], sigma_floor: float = 1e-3
-) -> GaussianPrior:
-    """Pool per-event coefficient fits into per-coefficient Normal priors.
+def prior_from_fit(per_event_coefficients, sigma_floor: float = 1e-3) -> GaussianPrior:
+    """Pool per-event coefficient fits, shape (n_events, n_coeffs), into Normal priors.
 
     mu is the sample mean; sigma the unbiased sample standard deviation,
     floored at sigma_floor (a single event gives the floor everywhere).
     """
-    if not per_event_coefficients:
-        raise ValueError("at least one coefficient vector required")
     if sigma_floor <= 0:
         raise ValueError("sigma_floor must be positive")
     mat = np.asarray(per_event_coefficients, dtype=float)
-    if mat.ndim != 2:
-        raise ValueError("all coefficient vectors must have the same length")
+    if mat.ndim != 2 or len(mat) == 0:
+        raise ValueError("need one or more coefficient vectors of the same length")
     mu = mat.mean(axis=0)
     if mat.shape[0] > 1:
         sigma = np.maximum(mat.std(axis=0, ddof=1), sigma_floor)

@@ -131,7 +131,5 @@ def predict_event_sequence(
         raise InsufficientHistoryError("sequence prediction needs at least 2 arrivals")
     runs: list[PredictionRun] = []
     for t_c in arrivals[:-1]:
-        if event.window_days - t_c <= 0:
-            break
         runs += runs_at_cutoff(event, prior, t_c, sampler, clamp_floor=clamp_floor)[0]
     return runs

@@ -106,16 +106,16 @@ class TestCriterion3RidgeCorrectness:
         design = np.vander(binned.midpoints, 4, increasing=True) * binned.widths[:, None]
         beta_star = np.linalg.solve(design, y)
 
-        beta_zero = np.array(fit_ridge(binned, RidgeConfig(alpha=0.0, degree=3), 1))
+        beta_zero = np.array(fit_ridge(binned, RidgeConfig(alpha=0.0, degree=3)))
         rel_zero = np.max(np.abs(beta_zero - beta_star) / np.abs(beta_star))
 
         gram = design.T @ design + 1.0 * np.eye(4)
         oracle_one = np.linalg.solve(gram, design.T @ y)
-        beta_one = np.array(fit_ridge(binned, RidgeConfig(alpha=1.0, degree=3), 1))
+        beta_one = np.array(fit_ridge(binned, RidgeConfig(alpha=1.0, degree=3)))
         err_one = np.max(np.abs(beta_one - oracle_one))
 
         norms = [
-            np.linalg.norm(fit_ridge(binned, RidgeConfig(alpha=a, degree=3), 1))
+            np.linalg.norm(fit_ridge(binned, RidgeConfig(alpha=a, degree=3)))
             for a in (0.0, 0.01, 0.1, 1.0, 10.0, 100.0)
         ]
         monotone = all(b <= a + 1e-12 for a, b in zip(norms, norms[1:]))

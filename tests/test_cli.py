@@ -294,6 +294,26 @@ class TestPlotData:
         assert run_cli("plot-data", "--runs", str(empty), "--event-id", "E1",
                        "--out", str(tmp_path / "p.csv")) == 1
 
+    def test_truncated_record_is_runtime_error(self, tmp_path, capsys):
+        runs = tmp_path / "runs.jsonl"
+        runs.write_text(json.dumps({"event_id": "E1", "model": "nhpp"}) + "\n")
+        out = tmp_path / "p.csv"
+        assert run_cli("plot-data", "--runs", str(runs), "--event-id", "E1",
+                       "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert "malformed prediction record 1" in err and "cutoff_days_to_tca" in err
+        assert not out.exists()
+
+    def test_null_cutoff_is_runtime_error(self, tmp_path, capsys):
+        rows = [record("E1", "naive", 1.8, 1.0, cutoff=None)] * 2
+        runs = tmp_path / "runs.jsonl"
+        runs.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        out = tmp_path / "p.csv"
+        assert run_cli("plot-data", "--runs", str(runs), "--event-id", "E1",
+                       "--out", str(out)) == 1
+        assert "malformed prediction record 1" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestConfigResolution:
     def test_env_seed_overrides_default(self, tmp_path, monkeypatch):

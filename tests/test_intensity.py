@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cadence.ingest import ConjunctionEvent
+from cadence.point_process import ObservationWindow, simulate_thinning
 from cadence.intensity import (
     BinnedCounts,
     ClampedPolynomials,
@@ -207,15 +208,15 @@ class TestClampedPolynomials:
 class TestBinEvents:
     def test_direct_counting(self):
         binned = bin_events([event([0.2, 0.7])], 0.5)
-        assert binned.counts == (1, 1)
+        assert binned.counts.tolist() == [[1, 1]]
 
-    def test_superposition(self):
+    def test_one_row_per_event(self):
         binned = bin_events([event([0.2, 0.7]), event([0.2, 0.7])], 0.5)
-        assert binned.counts == (2, 2)
+        assert binned.counts.tolist() == [[1, 1], [1, 1]]
 
     def test_window_end_in_last_bin(self):
         binned = bin_events([event([1.0])], 0.5)
-        assert binned.counts == (0, 1)
+        assert binned.counts.tolist() == [[0, 1]]
 
     def test_partial_final_bin_true_width(self):
         binned = bin_events([event([0.1], window=0.8)], 0.5)
@@ -225,18 +226,18 @@ class TestBinEvents:
     def test_mass_conserved(self):
         events = [event([0.05, 0.31, 0.62, 0.99]), event([0.5])]
         binned = bin_events(events, 0.25)
-        assert sum(binned.counts) == 5
+        assert binned.counts.sum() == 5
 
     def test_empty_list_errors(self):
         with pytest.raises(ValueError):
             bin_events([], 0.5)
 
 
-def oracle_ridge(binned: BinnedCounts, alpha, degree, n_events):
-    """Independent normal-equations solve via numpy's generic solver."""
+def oracle_ridge(binned: BinnedCounts, alpha, degree):
+    """Independent normal-equations solve via numpy's generic solver, for one event."""
     mids = binned.midpoints
     design = np.vander(mids, degree + 1, increasing=True) * binned.widths[:, None]
-    y = np.asarray(binned.counts, dtype=float) / n_events
+    y = np.ravel(binned.counts).astype(float)
     gram = design.T @ design + alpha * np.eye(degree + 1)
     return np.linalg.solve(gram, design.T @ y)
 
@@ -248,13 +249,14 @@ class TestFitRidge:
         binned = BinnedCounts(bin_edges=(0.0, 1.0, 2.0, 3.0, 4.0), counts=(3, 1, 4, 1))
         design = np.vander(binned.midpoints, 4, increasing=True) * binned.widths[:, None]
         beta_star = np.linalg.solve(design, np.asarray(binned.counts, dtype=float))
-        fitted = fit_ridge(binned, RidgeConfig(alpha=0.0, degree=3, bin_width=1.0), 1)
+        fitted = fit_ridge(binned, RidgeConfig(alpha=0.0, degree=3, bin_width=1.0))
         assert np.asarray(fitted) == pytest.approx(beta_star, rel=1e-6)
 
     def test_huge_alpha_shrinks_to_zero(self):
         binned = bin_events([event([0.1, 0.4, 0.9])], 0.25)
-        fitted = fit_ridge(binned, RidgeConfig(alpha=1e12, degree=3, bin_width=0.25), 1)
-        max_y = max(binned.counts)
+        (fitted,) = fit_ridge(binned, RidgeConfig(alpha=1e12, degree=3, bin_width=0.25))
+        (counts,) = binned.counts
+        max_y = max(counts)
         assert all(abs(b) < 1e-6 * max_y for b in fitted)
 
     def test_against_independent_oracle(self):
@@ -263,8 +265,8 @@ class TestFitRidge:
             counts=(3, 1, 4, 1, 5),
         )
         config = RidgeConfig(alpha=1.0, degree=3, bin_width=1.0)
-        fitted = fit_ridge(binned, config, 1)
-        oracle = oracle_ridge(binned, 1.0, 3, 1)
+        fitted = fit_ridge(binned, config)
+        oracle = oracle_ridge(binned, 1.0, 3)
         assert np.asarray(fitted) == pytest.approx(oracle, abs=1e-10)
 
     def test_norm_monotone_in_alpha(self):
@@ -274,18 +276,19 @@ class TestFitRidge:
         )
         norms = []
         for alpha in (0.0, 0.01, 0.1, 1.0, 10.0, 100.0):
-            beta = fit_ridge(binned, RidgeConfig(alpha=alpha, degree=3, bin_width=0.5), 1)
+            beta = fit_ridge(binned, RidgeConfig(alpha=alpha, degree=3, bin_width=0.5))
             norms.append(np.linalg.norm(beta))
         assert all(a >= b - 1e-12 for a, b in zip(norms, norms[1:]))
 
     def test_perturbation_never_improves_objective(self):
         binned = bin_events([event([0.5, 1.1, 2.4, 3.3, 5.9], window=7.0)], 0.5)
         config = RidgeConfig(alpha=0.5, degree=3, bin_width=0.5)
-        beta = np.asarray(fit_ridge(binned, config, 1))
+        (beta,) = fit_ridge(binned, config)
+        (counts,) = binned.counts
 
         def objective(b):
             lam = np.polynomial.polynomial.polyval(binned.midpoints, b)
-            resid = np.asarray(binned.counts, dtype=float) - lam * binned.widths
+            resid = np.asarray(counts, dtype=float) - lam * binned.widths
             return float(resid @ resid + config.alpha * b @ b)
 
         base = objective(beta)
@@ -295,10 +298,26 @@ class TestFitRidge:
             delta *= 1e-3 / np.linalg.norm(delta)
             assert objective(beta + delta) >= base - 1e-12
 
+    def test_each_row_matches_single_event_oracle(self):
+        model = PolynomialIntensity((2.0, -1.2, 0.0, 0.04))
+        events = [ConjunctionEvent("E", TCA, 7.0, tuple(arrivals))
+                  for seed in range(300)
+                  if (arrivals := simulate_thinning(model, ObservationWindow(0.0, 7.0), seed))]
+        # At the window start, on an interior bin edge and at the window end.
+        events.append(ConjunctionEvent("EDGES", TCA, 7.0, (0.0, 3.5, 7.0)))
+        binned = bin_events(events, 0.5)
+        assert binned.counts[-1].nonzero()[0].tolist() == [0, 7, 13]
+        config = RidgeConfig(alpha=1.0, degree=3, bin_width=0.5)
+        fitted = fit_ridge(binned, config)
+        assert fitted.shape == (len(events), 4)
+        for row, e in zip(fitted, events):
+            oracle = oracle_ridge(bin_events([e], 0.5), config.alpha, config.degree)
+            assert row == pytest.approx(oracle, abs=1e-10)
+
     def test_rank_deficient_unpenalized_errors(self):
         binned = BinnedCounts(bin_edges=(0.0, 1.0, 2.0), counts=(1, 2))
         with pytest.raises(ValueError):
-            fit_ridge(binned, RidgeConfig(alpha=0.0, degree=3, bin_width=1.0), 1)
+            fit_ridge(binned, RidgeConfig(alpha=0.0, degree=3, bin_width=1.0))
 
 
 class TestPriorFromFit:
@@ -307,6 +326,7 @@ class TestPriorFromFit:
         assert prior.mu[0] == pytest.approx(1.0)
         assert prior.sigma[0] == pytest.approx(math.sqrt(2.0))
         assert prior.sigma[1] == 1e-3
+        assert prior_from_fit(np.array([[0.0, 0.0, 0.0, 0.0], [2.0, 0.0, 0.0, 0.0]]), 1e-3) == prior
 
     def test_identical_vectors_floored(self):
         v = (1.5, -0.2, 0.3, 0.0)
