@@ -54,7 +54,6 @@ class RunConfig:
     bin_width: float = 0.5
     chains: int = 4
     draws: int = 1000
-    warmup: int = 1000
     seed: int = 0
     sigma_floor: float = 1e-3
     clamp_floor: float = 1e-6
@@ -76,9 +75,7 @@ class RunConfig:
         self.ridge()
 
     def sampler(self) -> SamplerConfig:
-        return SamplerConfig(
-            chains=self.chains, draws=self.draws, warmup=self.warmup, seed=self.seed
-        )
+        return SamplerConfig(chains=self.chains, draws=self.draws, seed=self.seed)
 
     def ridge(self) -> RidgeConfig:
         return RidgeConfig(alpha=self.alpha, degree=self.degree, bin_width=self.bin_width)
@@ -95,7 +92,6 @@ def _add_config_flags(parser: argparse.ArgumentParser):
     group.add_argument("--bin-width", type=float, dest="bin_width")
     group.add_argument("--chains", type=int)
     group.add_argument("--draws", type=int)
-    group.add_argument("--warmup", type=int)
     group.add_argument("--seed", type=int,
                        help=f"RNG seed (default 0; {SEED_ENV_VAR} overrides the default)")
     group.add_argument("--sigma-floor", type=float, dest="sigma_floor")
@@ -226,23 +222,39 @@ def _run_to_json(run: PredictionRun) -> dict:
     return record
 
 
+def _typed(name: str, value, *kinds):
+    """``value`` if it is one of ``kinds`` (a bool only as a bool), else a TypeError naming the field."""
+    if not isinstance(value, kinds) or (isinstance(value, bool) and bool not in kinds):
+        raise TypeError(f"field {name!r} has the wrong type: {value!r}")
+    return value
+
+
 def _run_from_json(record: dict, window_days: float) -> PredictionRun:
-    """Inverse of ``_run_to_json`` for records written with this window."""
+    """Inverse of ``_run_to_json`` for records written with this window.
+
+    A missing field raises KeyError, a field of the wrong type TypeError.
+    """
     w = window_days
-    cutoff = w - record["cutoff_days_to_tca"]  # every run has one; a null is malformed
-    point = _days_to_tca(w, record["predicted_days_to_tca"])
+
+    def number(name, *null):
+        return _typed(name, record[name], numbers.Real, *null)
+
+    cutoff = w - number("cutoff_days_to_tca")  # every run has one; a null is malformed
+    point = _days_to_tca(w, number("predicted_days_to_tca", type(None)))
+    model = _typed("model", record["model"], str)
+    note = _typed("error", record.get("error"), str, type(None))
     prediction = None
-    if record["model"] == NHPP and "error" not in record:
+    if model == NHPP and note is None:
         prediction = ArrivalPrediction(
-            cutoff=cutoff, horizon=w - cutoff, censored=record["censored"],
+            cutoff=cutoff, horizon=w - cutoff, censored=_typed("censored", record["censored"], bool),
             point_estimate=point,
-            lower_95=_days_to_tca(w, record["upper95"]),
-            upper_95=_days_to_tca(w, record["lower95"]),
+            lower_95=_days_to_tca(w, number("upper95", type(None))),
+            upper_95=_days_to_tca(w, number("lower95", type(None))),
         )
     return PredictionRun(
-        event_id=record["event_id"], model=record["model"], cutoff=cutoff, window_days=w,
-        point_estimate=point, prediction=prediction,
-        actual_next=_days_to_tca(w, record["actual_days_to_tca"]), note=record.get("error"),
+        event_id=_typed("event_id", record["event_id"], str), model=model, cutoff=cutoff,
+        window_days=w, point_estimate=point, prediction=prediction,
+        actual_next=_days_to_tca(w, number("actual_days_to_tca", type(None))), note=note,
     )
 
 
@@ -334,10 +346,11 @@ def cmd_evaluate(config: RunConfig, runs_jsonl: str, out_json: str):
 
 def cmd_plot_data(config: RunConfig, runs_jsonl: str, event_id: str, out_csv: str):
     """Emit tidy plot data (kind,t_days_to_tca,value,model) for one event."""
-    rows = [r for r, run in _read_runs(runs_jsonl, config.window_days) if run.event_id == event_id]
-    if not rows:
+    pairs = [(r, run) for r, run in _read_runs(runs_jsonl, config.window_days)
+             if run.event_id == event_id]
+    if not pairs:
         raise CadenceError(f"unknown event_id: {event_id}")
-    scored = [r for r in rows if "error" not in r]
+    scored = [r for r, run in pairs if run.note is None]
     nhpp_rows = sorted(
         (r for r in scored if r["model"] == NHPP),
         key=lambda r: r["cutoff_days_to_tca"], reverse=True,

@@ -2,17 +2,16 @@
 
 Gaussian priors combined with the exact NHPP likelihood of the pre-cutoff
 history give the per-event log-posterior, a closure that maps states
-(k, dim) to k log-densities.  An adaptive random-walk Metropolis sampler
-draws from it across several independent chains, which step in lock step
-as one (chains, dim) array: one log-density call per step for all chains.
-Each chain draws its randomness from its own child of the seed.  Split
-R-hat and effective sample size are computed for every
-coefficient; callers gate on R-hat alone (see ``prediction``), and ESS
-is reported only.
+(k, dim) to k log-densities.  An independence Metropolis-Hastings sampler
+draws from it across several independent chains: damped Newton steps find
+the mode, and a Student-t proposal fitted there stays fixed for every
+draw.  Each chain draws its randomness from its own child of the seed and
+evaluates all its proposals in one log-density call.  Split R-hat and
+effective sample size are computed for every coefficient; callers gate on
+R-hat alone (see ``prediction``), and ESS is reported only.
 """
 from __future__ import annotations
 
-import logging
 import math
 import warnings
 from dataclasses import dataclass
@@ -23,28 +22,25 @@ import numpy as np
 from .intensity import bernstein_matrix, clamped_integral
 from .priors import GaussianPrior
 
-logger = logging.getLogger(__name__)
-
 LOG_SQRT_TWO_PI = 0.5 * math.log(2.0 * math.pi)
-TARGET_ACCEPTANCE = 0.234
 MIN_TOTAL_DRAWS = 100  # fewest draws, over all chains, that ``ess`` accepts
-STEP_SCALE = 0.1  # first coordinate step, as a share of the prior scale
+PROPOSAL_DOF = 5.0  # degrees of freedom of the Student-t proposal
+NEWTON_STEPS = 30  # most stencil evaluations in the search for the mode
+NEWTON_TOL = 1e-8  # Newton stops once grad . step (nats) falls below this
+FD_STEP = 1e-4  # finite-difference step, as a share of init_scale
 
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    """Multi-chain sampling protocol: chain count, lengths, seed."""
+    """Multi-chain sampling protocol: chain count, draws per chain, seed."""
 
     chains: int = 4
     draws: int = 1000
-    warmup: int = 1000
     seed: int = 0
 
     def __post_init__(self):
         if self.chains < 2:
             raise ValueError("at least 2 chains required for diagnostics")
-        if self.draws < 1 or self.warmup < 1:
-            raise ValueError("draws and warmup must be at least 1")
         if self.chains * self.draws < MIN_TOTAL_DRAWS:
             raise ValueError(f"chains * draws must be at least {MIN_TOTAL_DRAWS} for ESS")
 
@@ -121,41 +117,47 @@ def make_log_posterior(
     return density
 
 
-def _proposal_cholesky(states: np.ndarray, init_scale: np.ndarray) -> np.ndarray:
-    """Cholesky factors of regularized empirical covariances, one per chain.
+def _fit_proposal(log_density, init_mean: np.ndarray, init_scale: np.ndarray):
+    """Centre and Cholesky factor of the proposal scale: the mode and the inverse negative Hessian.
 
-    ``states`` is (chains, n, dim); the result is (chains, dim, dim).  A
-    chain falls back to a diagonal factor built from init_scale when its
-    states are too few or too degenerate to support a full-rank estimate.
+    Damped Newton steps run from ``init_mean``.  Each takes its gradient and
+    Hessian from central differences: the 4 dim^2 states x +- h_i e_i +- h_j e_j
+    go through one density call, and the states with i = j give the gradient
+    and x itself.  A step that does not raise the log-density is halved.  A
+    non-finite value or a Hessian that is not negative definite gives
+    ``init_mean`` with scale ``init_scale`` instead.
     """
-    chains, n, dim = states.shape
-    fallback = np.diag(init_scale)
-    if n < max(10, 2 * dim):
-        return np.broadcast_to(fallback, (chains, dim, dim))
-    centered = states - states.mean(axis=1, keepdims=True)
-    cov = centered.transpose(0, 2, 1) @ centered / (n - 1)
-    ridge = 1e-10 * np.maximum(np.trace(cov, axis1=1, axis2=2) / dim, 1.0)
-    cov += ridge[:, None, None] * np.eye(dim)
-    factors = []
-    for one in cov:
-        try:
-            factors.append(np.linalg.cholesky(one))
-        except np.linalg.LinAlgError:
-            factors.append(fallback)
-    return np.stack(factors)
-
-
-def _metropolis(log_density, x, lp, proposal, uniforms):
-    """One accept/reject decision per chain: accepted proposals overwrite x and lp in place.
-
-    Returns the acceptance probabilities and which chains accepted.
-    """
-    lp_prop = np.asarray(log_density(proposal), dtype=float)
-    accept_prob = np.exp(np.minimum(lp_prop - lp, 0.0))
-    accept = uniforms < accept_prob
-    np.copyto(x, proposal, where=accept[:, None])
-    np.copyto(lp, lp_prop, where=accept)
-    return accept_prob, accept
+    dim = len(init_mean)
+    h = FD_STEP * init_scale
+    offsets = np.diag(h)
+    stencil = np.stack([si * offsets[:, None] + sj * offsets[None, :]
+                        for si, sj in ((1, 1), (1, -1), (-1, 1), (-1, -1))]).reshape(-1, dim)
+    fallback = init_mean, np.diag(init_scale)
+    x = step = None
+    lp = -math.inf
+    trial = init_mean
+    for _ in range(NEWTON_STEPS):
+        values = np.asarray(log_density(trial + stencil), dtype=float).reshape(4, dim, dim)
+        if values[1, 0, 0] > lp:
+            if not np.isfinite(values).all():
+                return fallback
+            x, lp = trial, values[1, 0, 0]
+            grad = (np.diagonal(values[0]) - np.diagonal(values[3])) / (4.0 * h)
+            hess = (values[0] - values[1] - values[2] + values[3]) / (4.0 * np.outer(h, h))
+            try:
+                cov = np.linalg.inv(-hess)
+                chol = np.linalg.cholesky(cov)
+            except np.linalg.LinAlgError:
+                return fallback
+            step = cov @ grad
+        elif x is None:
+            return fallback  # not finite at init_mean; the sampler reports it
+        else:
+            step = step / 2.0
+        if grad @ step < NEWTON_TOL:
+            break
+        trial = x + step
+    return x, chol
 
 
 def sample_posterior(
@@ -164,92 +166,55 @@ def sample_posterior(
     init_scale,
     config: SamplerConfig,
 ) -> PosteriorSamples:
-    """Covariance-adaptive random-walk Metropolis, all chains in lock step.
+    """Independence Metropolis-Hastings from a Student-t fitted at the mode.
 
-    ``log_density`` maps states (k, dim) to k log-densities; every step
-    evaluates the proposals of all chains in one call.  Each chain starts
-    at the prior mean jittered by a tenth of the prior scale.  Warmup runs
-    in two stages: first, coordinate-at-a-time updates whose per-coordinate
-    scales adapt by Robbins-Monro toward the target acceptance rate; then
-    joint Gaussian proposals whose covariance is the empirical covariance
-    of the chain's warmup states (polynomial coefficients are strongly
-    correlated, so axis-aligned proposals alone mix too slowly), with a
-    single Robbins-Monro scale factor.  Everything freezes after warmup so
-    the retained draws satisfy detailed balance.  Each chain adapts on its
-    own, and draws all its normals and uniforms up front from its own
-    child of the seed, so a chain's draws do not depend on how many
-    chains run beside it.  Deterministic given the seed.
+    ``log_density`` maps states (k, dim) to k log-densities.  The proposal
+    is a multivariate Student-t with PROPOSAL_DOF degrees of freedom,
+    centred at the mode with the inverse negative Hessian there as its
+    scale (see ``_fit_proposal``, which falls back to ``init_mean`` and
+    ``init_scale``).  The kernel is fixed from the first draw, so every
+    draw is retained and satisfies detailed balance (Tierney, 1994).  Each
+    chain starts at the proposal's centre, draws its normals, chi-square
+    values and uniforms up front from its own child of the seed, evaluates
+    all its proposals in one density call, and keeps or rejects them in
+    order.  A chain's draws therefore do not depend on how many chains run
+    beside it.  Deterministic given the seed.
     """
     init_mean = np.asarray(init_mean, dtype=float)
     init_scale = np.asarray(init_scale, dtype=float)
     dim = len(init_mean)
-    stage_a = config.warmup // 2
-    stage_b = config.warmup - stage_a
+    centre, chol = _fit_proposal(log_density, init_mean, init_scale)
+    nu = PROPOSAL_DOF
 
-    def chain_noise(rng):
-        # Start, stage A (one normal per coordinate step), stage B, sampling.
-        return (rng.standard_normal(dim),
-                rng.standard_normal((stage_a, dim)), rng.uniform(size=(stage_a, dim)),
-                rng.standard_normal((stage_b, dim)), rng.uniform(size=stage_b),
-                rng.standard_normal((config.draws, dim)), rng.uniform(size=config.draws))
-
-    # Each chain's normals and uniforms, drawn up front from its own child seed.
-    noise = [chain_noise(np.random.default_rng(seed))
-             for seed in np.random.SeedSequence(config.seed).spawn(config.chains)]
-    start, a_normals, a_uniforms, b_normals, b_uniforms, s_normals, s_uniforms = (
-        np.stack(block) for block in zip(*noise))
-
-    x = init_mean + 0.1 * init_scale * start
-    lp = np.array(log_density(x), dtype=float)
-    bad = np.flatnonzero(~np.isfinite(lp))
-    if bad.size:
-        raise RuntimeError(f"chain {bad[0]}: non-finite log-density at initialization")
-
-    # Stage A: per-coordinate adaptation, collecting states for the
-    # covariance estimate.
-    log_scales = np.tile(np.log(STEP_SCALE * init_scale), (config.chains, 1))
-    stage_a_states = np.empty((config.chains, max(stage_a, 1), dim))
-    stage_a_states[:, 0] = x
-    for it in range(stage_a):
-        gamma = (it + 1) ** -0.6
-        for j in range(dim):
-            proposal = x.copy()
-            proposal[:, j] += np.exp(log_scales[:, j]) * a_normals[:, it, j]
-            accept_prob, _ = _metropolis(log_density, x, lp, proposal, a_uniforms[:, it, j])
-            log_scales[:, j] += gamma * (accept_prob - TARGET_ACCEPTANCE)
-        stage_a_states[:, it] = x
-
-    chol = _proposal_cholesky(stage_a_states[:, stage_a // 2 :], init_scale)
-    log_factor = np.full(config.chains, math.log(2.38 / math.sqrt(dim)))
-
-    # Stage B: joint proposals, scale-only adaptation, one covariance
-    # refresh halfway through.
-    stage_b_states = np.empty((config.chains, max(stage_b, 1), dim))
-    stage_b_states[:, 0] = x
-    for it in range(stage_b):
-        if stage_b >= 20 and it == stage_b // 2:
-            chol = _proposal_cholesky(stage_b_states[:, :it], init_scale)
-        direction = (chol @ b_normals[:, it, :, None])[:, :, 0]
-        proposal = x + np.exp(log_factor)[:, None] * direction
-        accept_prob, _ = _metropolis(log_density, x, lp, proposal, b_uniforms[:, it])
-        log_factor += (it + 1) ** -0.6 * (accept_prob - TARGET_ACCEPTANCE)
-        stage_b_states[:, it] = x
-
-    # Sampling: frozen kernel.
-    step = np.exp(log_factor)[:, None, None] * chol
-    increments = s_normals @ step.transpose(0, 2, 1)
     all_draws = np.empty((config.chains, config.draws, dim))
-    accepted = np.zeros(config.chains)
-    for it in range(config.draws):
-        _, accept = _metropolis(log_density, x, lp, x + increments[:, it], s_uniforms[:, it])
-        accepted += accept
-        all_draws[:, it] = x
+    acceptance = []
+    for c, seed in enumerate(np.random.SeedSequence(config.seed).spawn(config.chains)):
+        rng = np.random.default_rng(seed)
+        normals = rng.standard_normal((config.draws, dim))
+        stretch = nu / rng.chisquare(nu, config.draws)
+        log_uniforms = np.log(rng.uniform(size=config.draws)).tolist()
+        states = np.vstack([centre, centre + np.sqrt(stretch)[:, None] * (normals @ chol.T)])
+        # Squared Mahalanobis distance of each state from the centre, which
+        # is where the chain starts.
+        distance = np.concatenate([[0.0], stretch * (normals * normals).sum(axis=1)])
+        log_proposal = -0.5 * (nu + dim) * np.log1p(distance / nu)
+        log_weights = (np.asarray(log_density(states), dtype=float) - log_proposal).tolist()
+        if not math.isfinite(log_weights[0]):
+            raise RuntimeError(f"chain {c}: non-finite log-density at initialization")
+        current, accepted, kept = 0, 0, []
+        for i, log_u in enumerate(log_uniforms, start=1):
+            if log_u < log_weights[i] - log_weights[current]:
+                current = i
+                accepted += 1
+            kept.append(current)
+        all_draws[c] = states[kept]
+        acceptance.append(accepted / config.draws)
 
     r_hats = tuple(r_hat(all_draws[:, :, j]) for j in range(dim))
     ess_vals = tuple(ess(all_draws[:, :, j]) for j in range(dim))
     return PosteriorSamples(
         draws=all_draws,
-        acceptance=tuple(float(a) for a in accepted / config.draws),
+        acceptance=tuple(acceptance),
         r_hat=r_hats,
         ess=ess_vals,
     )

@@ -1,8 +1,10 @@
 """End-to-end next-CDM prediction and the two gap-based baselines."""
 from __future__ import annotations
 
+import hashlib
+import json
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import CadenceError, InsufficientHistoryError
 from .inference import PosteriorSamples, SamplerConfig, make_log_posterior, sample_posterior
@@ -48,10 +50,15 @@ def posterior_for_event(
 ) -> PosteriorSamples:
     """Sample the coefficient posterior given the history observed on [0, t_c].
 
+    The sampler seed is drawn from the configured seed, the event id and the
+    cutoff, so a posterior depends on neither the order of the events nor
+    which others share the input, and no two posteriors share their noise.
     Samples whose split R-hat exceeds the gate threshold trigger a warning.
     """
+    key = json.dumps([sampler.seed, event_id, t_c]).encode()
+    seed = int.from_bytes(hashlib.sha256(key).digest()[:8], "little")
     density = make_log_posterior(prior, history, t_c, clamp_floor=clamp_floor)
-    samples = sample_posterior(density, prior.mu, prior.sigma, sampler)
+    samples = sample_posterior(density, prior.mu, prior.sigma, replace(sampler, seed=seed))
     worst = max(samples.r_hat)
     if worst > RHAT_THRESHOLD:
         logger.warning("event %s: split R-hat %.3f exceeds %s; using samples anyway",

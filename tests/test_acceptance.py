@@ -130,7 +130,7 @@ class TestCriterion4SamplerCorrectness:
     def test_normal_and_conjugate_targets(self, capsys):
         start = time.perf_counter()
 
-        config = SamplerConfig(chains=4, draws=10000, warmup=1000, seed=1)
+        config = SamplerConfig(chains=4, draws=10000, seed=1)
         samples = sample_posterior(lambda s: -0.5 * (s * s).sum(axis=1), [0.0], [1.0], config)
         flat = samples.flat_draws()[:, 0]
         normal_ok = (
@@ -151,7 +151,7 @@ class TestCriterion4SamplerCorrectness:
                 value = (a - 1 + n) * np.log(rate) - (b + total_time) * rate
             return np.where(rate > 0, value, -np.inf)
 
-        config = SamplerConfig(chains=4, draws=1000, warmup=1000, seed=7)
+        config = SamplerConfig(chains=4, draws=1000, seed=7)
         gamma_samples = sample_posterior(log_density, [1.5], [0.6], config)
         gflat = gamma_samples.flat_draws()[:, 0]
         analytic_mean = (a + n) / (b + total_time)
@@ -173,7 +173,7 @@ class TestCriterion5SyntheticBenchmark:
         events = make_events((6.0, 0.5, -0.05, 0.002), 200, seed0=9000, prefix="S")
         train, test = events[:100], events[100:]
         prior = fit_prior_from_events(RunConfig(), train)
-        sampler = SamplerConfig(chains=4, draws=1000, warmup=1000, seed=2024)
+        sampler = SamplerConfig(chains=4, draws=1000, seed=2024)
         reports = {r.model: r for r in run_benchmark(test, prior, 2.5, sampler)}
         elapsed = time.perf_counter() - start
 
@@ -194,7 +194,7 @@ class TestCriterion5SyntheticBenchmark:
 class TestCriterion6SequentialTrend:
     def test_interval_width_shrinks(self, capsys):
         prior = GaussianPrior((1.0, 0.1, 0.0, 0.0), (0.5, 0.2, 0.05, 0.01))
-        sampler = SamplerConfig(chains=2, draws=250, warmup=250, seed=5)
+        sampler = SamplerConfig(chains=2, draws=250, seed=5)
 
         def width(run):
             p = run.prediction
@@ -239,7 +239,7 @@ class TestCriterion7MetricIdentities:
 
 class TestCriterion8Determinism:
     def test_pipeline_byte_identical(self, capsys, tmp_path):
-        fast = ["--chains", "2", "--draws", "200", "--warmup", "200", "--seed", "17"]
+        fast = ["--chains", "2", "--draws", "200", "--seed", "17"]
         outputs = []
         for name in ("one", "two"):
             root = tmp_path / name

@@ -2,17 +2,21 @@
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cadence
 from cadence.cli import main
 from cadence.evaluation import run_benchmark
 from cadence.inference import SamplerConfig
 from cadence.ingest import assemble_events, parse_csv
 from cadence.priors import GaussianPrior
 
-FAST = ["--chains", "2", "--draws", "200", "--warmup", "200"]
+FAST = ["--chains", "2", "--draws", "200"]
 
 
 def run_cli(*argv):
@@ -150,6 +154,23 @@ class TestPredictAndEvaluate:
         rows = [json.loads(line) for line in out.read_text().splitlines()]
         assert all("error" in r for r in rows)
 
+    def test_record_does_not_depend_on_event_order(self, pipeline, tmp_path):
+        # Each posterior seeds from the event id and the cutoff, not from
+        # its place in the file.
+        lines = (pipeline / "data.csv").read_text().splitlines()
+        first, second = sorted({line.split(",")[0] for line in lines[1:]})[:2]
+        outputs = []
+        for order in ((first, second), (second, first)):
+            data = tmp_path / f"{order[0]}-first.csv"
+            data.write_text("\n".join([lines[0]] + [l for e in order for l in lines[1:]
+                                                      if l.split(",")[0] == e]) + "\n")
+            runs = tmp_path / f"{order[0]}-first.jsonl"
+            assert run_cli("predict", "--data", str(data), "--prior", str(pipeline / "prior.json"),
+                           "--out", str(runs), *FAST, "--seed", "17") == 0
+            outputs.append(sorted(runs.read_text().splitlines()))
+        assert outputs[0] == outputs[1]
+        assert len(outputs[0]) == 6
+
     def test_sequence_with_dump_posterior_is_usage_error(self, pipeline, tmp_path):
         dump = tmp_path / "dump"
         with pytest.raises(SystemExit) as err:
@@ -214,6 +235,28 @@ class TestEvaluateScoring:
         assert "malformed prediction record 2" in err and "actual_days_to_tca" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("field, value", [("predicted_days_to_tca", "x"),
+                                              ("cutoff_days_to_tca", True), ("censored", "no")])
+    def test_wrong_type_names_the_field(self, tmp_path, capsys, field, value):
+        rows = [record("E1", "nhpp", 1.5, 1.0, upper95=2.3), record("E1", "naive", 1.8, 1.0),
+                record("E1", "mean", 1.6, 1.0)]
+        rows[0][field] = value
+        runs = tmp_path / "runs.jsonl"
+        runs.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        out = tmp_path / "report.json"
+        assert run_cli("evaluate", "--runs", str(runs), "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert "malformed prediction record 1" in err and field in err and repr(value) in err
+        assert not out.exists()
+
+    def test_null_error_is_no_error(self, tmp_path):
+        rows = [record("E1", "nhpp", 1.5, 1.0, upper95=2.3, error=None),
+                record("E1", "naive", 1.8, 1.0, error=None), record("E1", "mean", 1.6, 1.0)]
+        report = evaluate_rows(tmp_path, rows)
+        for entry in report.values():
+            assert (entry["n"], entry["skipped_count"]) == (1, 0)
+        assert report["nhpp"]["coverage95"] == 1.0
+
     def test_sequence_output_scores_every_cutoff(self, pipeline, tmp_path):
         runs = tmp_path / "seq.jsonl"
         data = tmp_path / "three.csv"
@@ -242,7 +285,7 @@ class TestEvaluateScoring:
     def test_library_and_cli_tables_agree(self, pipeline):
         events = assemble_events(parse_csv((pipeline / "data.csv").read_bytes()), 7.0)
         prior = GaussianPrior.from_json((pipeline / "prior.json").read_text())
-        sampler = SamplerConfig(chains=2, draws=200, warmup=200, seed=17)
+        sampler = SamplerConfig(chains=2, draws=200, seed=17)
         library = run_benchmark(events, prior, 2.5, sampler)
         cli = json.loads((pipeline / "report.json").read_text())
         assert [entry["model"] for entry in cli] == [r.model for r in library]
@@ -344,8 +387,8 @@ class TestConfigResolution:
         assert err.value.code == 2
 
     @pytest.mark.parametrize("flag", [("--chains", "1"), ("--clamp-floor", "nan"),
-                                      ("--alpha", "inf"), ("--warmup", "0"),
-                                      ("--chains", "2", "--draws", "10", "--warmup", "10")])
+                                      ("--alpha", "inf"), ("--draws", "0"),
+                                      ("--chains", "2", "--draws", "10")])
     def test_bad_setting_is_usage_error(self, tmp_path, flag):
         # Rejected before any file is read or written.
         with pytest.raises(SystemExit) as err:
@@ -372,9 +415,29 @@ class TestConfigResolution:
         assert run_cli("simulate", "--n-events", "1", "--beta", "1,0",
                        "--out", str(tmp_path / "x.csv"), "--config", str(config)) == 0
 
+    def test_warmup_is_a_usage_error(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"warmup": 1000}))
+        for flag in (["--warmup", "1000"], ["--config", str(config)]):
+            with pytest.raises(SystemExit) as err:
+                run_cli("simulate", "--n-events", "1", "--beta", "1,0",
+                        "--out", str(tmp_path / "x.csv"), *flag)
+            assert err.value.code == 2
+
     def test_help_available(self, capsys):
         for command in ("simulate", "fit-prior", "predict", "evaluate", "plot-data"):
             with pytest.raises(SystemExit) as err:
                 run_cli(command, "--help")
             assert err.value.code == 0
             assert "usage" in capsys.readouterr().out
+
+
+def test_cli_import_leaves_slow_scipy_modules_unloaded():
+    # scipy.optimize and scipy.stats each add a sizeable share of start-up time.
+    src = Path(cadence.__file__).resolve().parents[1]
+    code = ("import sys, cadence.cli; "
+            "print(sorted({'scipy.optimize', 'scipy.stats'} & set(sys.modules)))")
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, check=True, timeout=120)
+    assert result.stdout.strip() == "[]"

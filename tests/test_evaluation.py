@@ -173,7 +173,7 @@ class TestRunBenchmark:
         beta = (1.5, 0.3, -0.02, 0.001)
         events = self.make_events(beta, 12)
         prior = GaussianPrior(mu=beta, sigma=(0.5, 0.2, 0.05, 0.01))
-        sampler = SamplerConfig(chains=2, draws=300, warmup=300, seed=0)
+        sampler = SamplerConfig(chains=2, draws=300, seed=0)
         reports = run_benchmark(events, prior, 2.5, sampler)
         assert [r.model for r in reports] == ["nhpp", "naive", "mean"]
         assert len({r.n for r in reports}) == 1
@@ -188,7 +188,7 @@ class TestRunBenchmark:
             ConjunctionEvent("G2", TCA, 7.0, (0.5, 1.5, 2.5, 3.5, 4.5, 5.5)),
         ]
         prior = GaussianPrior(mu=(1.0, 0.0, 0.0, 0.0), sigma=(0.5, 0.1, 0.05, 0.01))
-        sampler = SamplerConfig(chains=2, draws=200, warmup=200, seed=1)
+        sampler = SamplerConfig(chains=2, draws=200, seed=1)
         reports = run_benchmark(events, prior, 2.5, sampler)
         naive_report = next(r for r in reports if r.model == "naive")
         mean_report = next(r for r in reports if r.model == "mean")
@@ -199,7 +199,7 @@ class TestRunBenchmark:
         # Single event with every arrival before the cutoff.
         events = [ConjunctionEvent("C1", TCA, 7.0, (1.0, 2.0, 3.0))]
         prior = GaussianPrior(mu=(0.1, 0.0, 0.0, 0.0), sigma=(0.05, 0.01, 0.01, 0.01))
-        sampler = SamplerConfig(chains=2, draws=200, warmup=200, seed=2)
+        sampler = SamplerConfig(chains=2, draws=200, seed=2)
         with pytest.raises(ValueError, match="zero scorable"):
             run_benchmark(events, prior, 2.5, sampler)
 
@@ -210,7 +210,7 @@ class TestRunBenchmark:
             ConjunctionEvent("S1", TCA, 7.0, (4.0, 5.0)),
         ]
         prior = GaussianPrior(mu=(1.0, 0.0, 0.0, 0.0), sigma=(0.5, 0.1, 0.05, 0.01))
-        sampler = SamplerConfig(chains=2, draws=200, warmup=200, seed=1)
+        sampler = SamplerConfig(chains=2, draws=200, seed=1)
         reports = run_benchmark(events, prior, 2.5, sampler)
         assert [(r.n, r.skipped_count) for r in reports] == [(1, 1)] * 3
 
@@ -218,6 +218,6 @@ class TestRunBenchmark:
     def test_cutoff_outside_window_rejected(self, cutoff):
         events = [ConjunctionEvent("G1", TCA, 7.0, (1.0, 2.0, 3.0, 4.0, 5.0))]
         prior = GaussianPrior(mu=(1.0, 0.0, 0.0, 0.0), sigma=(0.5, 0.1, 0.05, 0.01))
-        sampler = SamplerConfig(chains=2, draws=200, warmup=200, seed=1)
+        sampler = SamplerConfig(chains=2, draws=200, seed=1)
         with pytest.raises(ValueError, match="strictly inside the window"):
             run_benchmark(events, prior, cutoff, sampler)

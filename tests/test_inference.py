@@ -1,4 +1,4 @@
-"""Prior/posterior densities, the adaptive sampler, and MCMC diagnostics."""
+"""Prior/posterior densities, the independence sampler, and MCMC diagnostics."""
 
 import math
 
@@ -7,6 +7,7 @@ import pytest
 
 from cadence.inference import (
     SamplerConfig,
+    _fit_proposal,
     ess,
     log_prior,
     make_log_posterior,
@@ -105,7 +106,7 @@ def standard_normal(states):
 
 class TestSamplePosterior:
     def test_standard_normal_recovery(self):
-        config = SamplerConfig(chains=4, draws=1000, warmup=1000, seed=1)
+        config = SamplerConfig(chains=4, draws=1000, seed=1)
         samples = sample_posterior(standard_normal, [0.0], [1.0], config)
         flat = samples.flat_draws()[:, 0]
         assert abs(flat.mean()) < 0.05
@@ -126,7 +127,7 @@ class TestSamplePosterior:
                 value = (a - 1 + n) * np.log(rate) - (b + total_time) * rate
             return np.where(rate > 0, value, -np.inf)
 
-        config = SamplerConfig(chains=4, draws=1000, warmup=1000, seed=7)
+        config = SamplerConfig(chains=4, draws=1000, seed=7)
         samples = sample_posterior(log_density, [1.5], [0.6], config)
         flat = samples.flat_draws()[:, 0]
         analytic_mean = (a + n) / (b + total_time)
@@ -140,13 +141,13 @@ class TestSamplePosterior:
         def log_density(states):
             return -0.5 * np.einsum("ki,ij,kj->k", states, precision, states)
 
-        config = SamplerConfig(chains=4, draws=1000, warmup=1000, seed=11)
+        config = SamplerConfig(chains=4, draws=1000, seed=11)
         samples = sample_posterior(log_density, [0.0, 0.0], [1.0, 1.0], config)
         flat = samples.flat_draws()
         assert np.corrcoef(flat.T)[0, 1] == pytest.approx(rho, abs=0.1)
 
     def test_seed_determinism(self):
-        config = SamplerConfig(chains=2, draws=200, warmup=200, seed=42)
+        config = SamplerConfig(chains=2, draws=200, seed=42)
         first = sample_posterior(standard_normal, [0.0], [1.0], config)
         second = sample_posterior(standard_normal, [0.0], [1.0], config)
         assert np.array_equal(first.draws, second.draws)
@@ -158,21 +159,40 @@ class TestSamplePosterior:
         prior = GaussianPrior((1.5, 0.2, -0.05, 0.01), (1.0, 0.5, 0.2, 0.1))
         density = make_log_posterior(prior, [0.4, 1.1, 2.7, 3.9], 4.5)
         two = sample_posterior(density, prior.mu, prior.sigma,
-                               SamplerConfig(chains=2, draws=200, warmup=200, seed=3))
+                               SamplerConfig(chains=2, draws=200, seed=3))
         four = sample_posterior(density, prior.mu, prior.sigma,
-                                SamplerConfig(chains=4, draws=200, warmup=200, seed=3))
+                                SamplerConfig(chains=4, draws=200, seed=3))
         assert four.draws[:2].tobytes() == two.draws.tobytes()
         assert four.acceptance[:2] == two.acceptance
 
     def test_symmetric_target_symmetric_draws(self):
-        config = SamplerConfig(chains=4, draws=1000, warmup=1000, seed=5)
+        config = SamplerConfig(chains=4, draws=1000, seed=5)
         samples = sample_posterior(standard_normal, [0.0], [1.0], config)
         flat = samples.flat_draws()[:, 0]
         stderr = flat.std(ddof=1) / math.sqrt(samples.ess[0])
         assert abs(flat.mean()) <= 3 * stderr
 
+    def test_bimodal_target_uses_the_fallback_proposal(self):
+        # Equal mixture of N(-3, 1) and N(3, 1): the log-density is convex at
+        # the start 0, so the proposal keeps the start and its scale.  That
+        # t proposal covers both modes: mean 0, variance 1 + 9 = 10.
+        def log_density(states):
+            x = states[:, 0]
+            return np.logaddexp(-0.5 * (x - 3.0) ** 2, -0.5 * (x + 3.0) ** 2)
+
+        centre, chol = _fit_proposal(log_density, np.array([0.0]), np.array([3.0]))
+        assert centre.tolist() == [0.0] and chol.tolist() == [[3.0]]
+        samples = sample_posterior(log_density, [0.0], [3.0],
+                                   SamplerConfig(chains=4, draws=1000, seed=3))
+        flat = samples.flat_draws()[:, 0]
+        n_eff = samples.ess[0]
+        assert abs(flat.mean()) <= 3 * flat.std(ddof=1) / math.sqrt(n_eff)
+        squares = (flat - flat.mean()) ** 2
+        assert abs(flat.var() - 10.0) <= 3 * squares.std(ddof=1) / math.sqrt(n_eff)
+        assert samples.r_hat[0] < 1.05
+
     def test_non_finite_initialization_errors(self):
-        config = SamplerConfig(chains=2, draws=50, warmup=10, seed=0)
+        config = SamplerConfig(chains=2, draws=50, seed=0)
         with pytest.raises(RuntimeError, match="initialization"):
             sample_posterior(lambda states: np.full(len(states), -np.inf), [0.0], [1.0], config)
 
@@ -240,7 +260,7 @@ class TestPosteriorConsistency:
         beta_star = np.array([2.0, 0.3])
         truth = PolynomialIntensity(tuple(beta_star))
         prior = GaussianPrior(mu=(1.5, 0.5), sigma=(1.5, 0.6))
-        config = SamplerConfig(chains=2, draws=300, warmup=300, seed=0)
+        config = SamplerConfig(chains=2, draws=300, seed=0)
 
         errors = {2.0: [], 7.0: []}
         covered = {2.0: 0, 7.0: 0}
@@ -250,8 +270,7 @@ class TestPosteriorConsistency:
                 arrivals = simulate_thinning(truth, ObservationWindow(0.0, t_c), 1000 + k)
                 density = make_log_posterior(prior, arrivals, t_c)
                 samples = sample_posterior(density, prior.mu, prior.sigma,
-                                           SamplerConfig(chains=2, draws=300,
-                                                         warmup=300, seed=k))
+                                           SamplerConfig(chains=2, draws=300, seed=k))
                 flat = samples.flat_draws()
                 errors[t_c].append(np.linalg.norm(flat.mean(axis=0) - beta_star))
                 lo = np.percentile(flat, 2.5, axis=0)

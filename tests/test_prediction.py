@@ -20,7 +20,7 @@ from cadence.prediction import (
 from cadence.priors import GaussianPrior
 
 TCA = datetime(2030, 6, 1, tzinfo=timezone.utc)
-SMALL_SAMPLER = SamplerConfig(chains=2, draws=300, warmup=300, seed=0)
+SMALL_SAMPLER = SamplerConfig(chains=2, draws=300, seed=0)
 
 
 def make_event(arrivals, window=7.0, event_id="E1"):
