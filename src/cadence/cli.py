@@ -299,13 +299,9 @@ def cmd_predict(
 
 def _dump_posterior_csv(directory: str, event_id: str, samples):
     os.makedirs(directory, exist_ok=True)
-    dim = samples.dim
-    header = "chain,draw," + ",".join(f"beta{j}" for j in range(dim))
-    rows = [header]
-    for c in range(samples.draws.shape[0]):
-        for d in range(samples.draws.shape[1]):
-            coeffs = ",".join(repr(float(v)) for v in samples.draws[c, d])
-            rows.append(f"{c},{d},{coeffs}")
+    rows = ["chain,draw," + ",".join(f"beta{j}" for j in range(samples.dim))]
+    for c, chain in enumerate(samples.draws.tolist()):
+        rows.extend(f"{c},{d},{','.join(map(repr, row))}" for d, row in enumerate(chain))
     _write_atomic(os.path.join(directory, f"{event_id}_posterior.csv"), "\n".join(rows) + "\n")
 
 

@@ -5,10 +5,10 @@ history give the per-event log-posterior, a closure that maps states
 (k, dim) to k log-densities.  An independence Metropolis-Hastings sampler
 draws from it across several independent chains: damped Newton steps find
 the mode, and a Student-t proposal fitted there stays fixed for every
-draw.  Each chain draws its randomness from its own child of the seed and
-evaluates all its proposals in one log-density call.  Split R-hat and
-effective sample size are computed for every coefficient; callers gate on
-R-hat alone (see ``prediction``), and ESS is reported only.
+draw.  Each chain draws its randomness from its own child of the seed, and
+one log-density call evaluates every chain's proposals.  Split R-hat and
+effective sample size are computed for every coefficient and gate nothing:
+``prediction`` logs a warning on a high R-hat, and ESS is reported only.
 """
 from __future__ import annotations
 
@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .intensity import bernstein_matrix, clamped_integral
+from .intensity import ClampedPolynomials, bernstein_matrix
 from .priors import GaussianPrior
 
 LOG_SQRT_TWO_PI = 0.5 * math.log(2.0 * math.pi)
@@ -87,8 +87,8 @@ def make_log_posterior(
     the model conditions only on information available at decision time.
     A zero-width window contributes no likelihood.  The integrated rate is
     exact: when all Bernstein coefficients of p on [0, t_c] are at least the
-    floor, so is p, and the integral is linear in beta; other states go
-    through ``clamped_integral`` one row at a time.
+    floor, so is p, and the integral is linear in beta; the other states go
+    through one ``ClampedPolynomials`` together.
     """
     dim = len(prior.mu)
     mu = np.asarray(prior.mu)
@@ -109,8 +109,10 @@ def make_log_posterior(
             return lp
         product = states @ design
         integral = product[:, -1]
-        for i in (product[:, :dim].min(axis=1) < clamp_floor).nonzero()[0]:
-            integral[i] = clamped_integral(states[i], clamp_floor, 0.0, t_c)
+        crossing = product[:, :dim].min(axis=1) < clamp_floor
+        if crossing.any():
+            integral[crossing] = ClampedPolynomials(states[crossing], clamp_floor,
+                                                    0.0, t_c).integral(0.0, t_c)
         lam_points = np.maximum(product[:, dim:-1], clamp_floor)
         return lp + np.log(lam_points).sum(axis=1) - integral
 
@@ -174,11 +176,11 @@ def sample_posterior(
     scale (see ``_fit_proposal``, which falls back to ``init_mean`` and
     ``init_scale``).  The kernel is fixed from the first draw, so every
     draw is retained and satisfies detailed balance (Tierney, 1994).  Each
-    chain starts at the proposal's centre, draws its normals, chi-square
-    values and uniforms up front from its own child of the seed, evaluates
-    all its proposals in one density call, and keeps or rejects them in
-    order.  A chain's draws therefore do not depend on how many chains run
-    beside it.  Deterministic given the seed.
+    chain starts at the proposal's centre and draws its normals, chi-square
+    values and uniforms up front from its own child of the seed; one density
+    call evaluates every chain's proposals, and each chain then keeps or
+    rejects its own in order.  A chain's draws therefore do not depend on
+    how many chains run beside it.  Deterministic given the seed.
     """
     init_mean = np.asarray(init_mean, dtype=float)
     init_scale = np.asarray(init_scale, dtype=float)
@@ -186,28 +188,31 @@ def sample_posterior(
     centre, chol = _fit_proposal(log_density, init_mean, init_scale)
     nu = PROPOSAL_DOF
 
+    rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(config.seed).spawn(config.chains)]
+    normals = np.stack([rng.standard_normal((config.draws, dim)) for rng in rngs])
+    stretch = np.stack([nu / rng.chisquare(nu, config.draws) for rng in rngs])
+    log_uniforms = np.log([rng.uniform(size=config.draws) for rng in rngs]).tolist()
+    proposals = centre + np.sqrt(stretch)[:, :, None] * (normals @ chol.T)
+    states = np.concatenate([np.broadcast_to(centre, (config.chains, 1, dim)), proposals], axis=1)
+    # Squared Mahalanobis distance of each state from the centre, which is
+    # where every chain starts.
+    distance = np.pad(stretch * (normals * normals).sum(axis=2), ((0, 0), (1, 0)))
+    log_proposal = -0.5 * (nu + dim) * np.log1p(distance / nu)
+    values = log_density(states.reshape(-1, dim))
+    log_weights = (np.reshape(values, distance.shape) - log_proposal).tolist()
+
     all_draws = np.empty((config.chains, config.draws, dim))
     acceptance = []
-    for c, seed in enumerate(np.random.SeedSequence(config.seed).spawn(config.chains)):
-        rng = np.random.default_rng(seed)
-        normals = rng.standard_normal((config.draws, dim))
-        stretch = nu / rng.chisquare(nu, config.draws)
-        log_uniforms = np.log(rng.uniform(size=config.draws)).tolist()
-        states = np.vstack([centre, centre + np.sqrt(stretch)[:, None] * (normals @ chol.T)])
-        # Squared Mahalanobis distance of each state from the centre, which
-        # is where the chain starts.
-        distance = np.concatenate([[0.0], stretch * (normals * normals).sum(axis=1)])
-        log_proposal = -0.5 * (nu + dim) * np.log1p(distance / nu)
-        log_weights = (np.asarray(log_density(states), dtype=float) - log_proposal).tolist()
-        if not math.isfinite(log_weights[0]):
+    for c, (weights, uniforms) in enumerate(zip(log_weights, log_uniforms)):
+        if not math.isfinite(weights[0]):
             raise RuntimeError(f"chain {c}: non-finite log-density at initialization")
         current, accepted, kept = 0, 0, []
-        for i, log_u in enumerate(log_uniforms, start=1):
-            if log_u < log_weights[i] - log_weights[current]:
+        for i, log_u in enumerate(uniforms, start=1):
+            if log_u < weights[i] - weights[current]:
                 current = i
                 accepted += 1
             kept.append(current)
-        all_draws[c] = states[kept]
+        all_draws[c] = states[c, kept]
         acceptance.append(accepted / config.draws)
 
     r_hats = tuple(r_hat(all_draws[:, :, j]) for j in range(dim))

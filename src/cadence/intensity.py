@@ -4,11 +4,11 @@ The intensity lambda(t) = beta_0 + beta_1 t + ... + beta_m t^m is clamped
 below at a small positive floor so that rates and log-likelihoods stay
 finite.  Integrals of the clamped rate are exact: the sign changes of
 p - floor split an interval into pieces on which the rate is either the
-polynomial or the floor.  They come from one bracketed root finding
-(``_sign_cuts``), skipped where the Bernstein coefficients share a sign.
-``ClampedPolynomials`` integrates many polynomials at once (posterior
-draws); ``clamped_integral`` and ``clamped_maximum`` take one polynomial
-in plain floats.
+polynomial or the floor.  One array root finder (``_sign_cuts``) cuts
+every row of a batch at once, skipped where the Bernstein coefficients
+share a sign; there is no per-row path.  ``ClampedPolynomials`` integrates
+a batch (posterior draws, the sampler's proposals), and
+``cumulative_intensity`` and ``clamped_maximum`` take one polynomial.
 
 Training events share one bin grid, so ``bin_events`` counts them as rows
 of one array and ``fit_ridge`` fits every row with one Cholesky
@@ -40,6 +40,8 @@ class PolynomialIntensity:
     clamp_floor: float = DEFAULT_CLAMP_FLOOR
 
     def __post_init__(self):
+        # Plain floats in a tuple: the model is hashable and compares by value.
+        object.__setattr__(self, "coefficients", tuple(map(float, self.coefficients)))
         if len(self.coefficients) == 0:
             raise ValueError("at least one coefficient required")
         if self.clamp_floor <= 0:
@@ -116,101 +118,93 @@ def bernstein_matrix(n_coeffs: int, lo: float, hi: float) -> np.ndarray:
     return to_bernstein @ (shift * (hi - lo) ** np.arange(n_coeffs)[:, None])
 
 
-def _horner(coeffs: list[float], t: float) -> float:
-    acc = 0.0
-    for c in reversed(coeffs):
-        acc = acc * t + c
-    return acc
-
-
-def _bracketed_root(coeffs, lo: float, hi: float, v_lo: float, v_hi: float) -> float:
-    """The root of a polynomial that is monotone on [lo, hi] and changes sign there.
+def _bracketed_roots(coeffs: np.ndarray, lo, hi, v_lo, v_hi) -> np.ndarray:
+    """Roots of polynomials (rows of ``coeffs``), each monotone on its [lo, hi] and changing sign there.
 
     Newton's method from the secant point, kept inside the shrinking bracket:
     a step that leaves it, or that does not halve the step before, bisects.
     A Newton step within the tolerance ends the search even when it leaves
     the bracket: x has just become one of its ends, so only rounding in p
-    can point the step outward.
+    can point the step outward.  Every row steps at once and leaves the
+    batch when its search ends.
     """
     x, step = lo - v_lo * (hi - lo) / (v_hi - v_lo), hi - lo
-    for _ in range(ROOT_MAX_ITER):
-        v = slope = 0.0
-        for c in reversed(coeffs):  # Horner for p and p' together
-            slope = slope * x + v
-            v = v * x + c
-        if v == 0.0:
-            return x
-        if (v < 0.0) == (v_lo < 0.0):
-            lo = x
-        else:
-            hi = x
-        newton = x - v / slope if slope else math.inf
-        if abs(newton - x) <= ROOT_XTOL * (1.0 + abs(x)):
-            return newton
-        if lo < newton < hi and abs(newton - x) < 0.5 * abs(step):
-            step, x = newton - x, newton
-        else:
-            step, x = 0.5 * (hi - lo), 0.5 * (lo + hi)
-        if abs(step) <= ROOT_XTOL * (1.0 + abs(x)):
-            return x
-    return x
+    lo_negative = v_lo < 0.0
+    roots, pending = np.empty_like(x), np.arange(len(x))
+    with np.errstate(divide="ignore", invalid="ignore"):  # a zero slope gives an infinite step
+        for _ in range(ROOT_MAX_ITER):
+            slope = coeffs[:, -1]
+            v = slope * x + coeffs[:, -2]
+            for c in coeffs.T[-3::-1]:  # Horner for p and p' together
+                slope = slope * x + v
+                v = v * x + c
+            moves_lo = (v < 0.0) == lo_negative
+            lo, hi = np.where(moves_lo, x, lo), np.where(moves_lo, hi, x)
+            newton = np.where(v == 0.0, x, x - v / slope)
+            delta = np.abs(newton - x)
+            close = delta <= ROOT_XTOL * (1.0 + np.abs(x))
+            take = (lo < newton) & (newton < hi) & (delta < 0.5 * np.abs(step))
+            step = np.where(take, newton - x, 0.5 * (hi - lo))
+            x = np.where(take, newton, 0.5 * (lo + hi))
+            finished = close | (np.abs(step) <= ROOT_XTOL * (1.0 + np.abs(x)))
+            roots[pending[finished]] = np.where(close, newton, x)[finished]
+            pending, coeffs, lo, hi, x, step, lo_negative = (
+                array[~finished] for array in (pending, coeffs, lo, hi, x, step, lo_negative))
+            if not len(pending):
+                break
+    roots[pending] = x
+    return roots
 
 
-def _sign_cuts(coeffs: list[float], a: float, b: float) -> list[float]:
-    """Sorted points of (a, b) cutting it into pieces on which the polynomial keeps one sign.
+def _sign_cuts(coeffs, a: float, b: float) -> np.ndarray:
+    """Sorted points of (a, b) cutting it into pieces on which each row's polynomial keeps one sign.
 
-    Degree 1 and 2 in closed form.  Above that, the cuts of the derivative
-    split (a, b) into monotone pieces, and each piece whose ends differ in
-    sign holds one root, found by ``_bracketed_root``; the derivative's cuts
-    are kept too, so a root that falls on one is not lost.
+    ``coeffs`` is (n, k), ascending; the result is (n, m), each row's cuts
+    padded with b.  A row's trailing zero coefficients are dropped; degree 1
+    and 2 are solved in closed form.  Above that, the cuts of the derivative
+    split (a, b) into monotone pieces, and every piece whose ends differ in
+    sign holds one root, all found by one ``_bracketed_roots``; the
+    derivative's cuts are kept too, so a root that falls on one is not lost.
     """
-    while len(coeffs) > 1 and coeffs[-1] == 0.0:
-        coeffs = coeffs[:-1]
-    if len(coeffs) == 2:
-        roots = [-coeffs[0] / coeffs[1]]
-    elif len(coeffs) == 3:
-        c0, c1, c2 = coeffs
-        disc = c1 * c1 - 4.0 * c2 * c0
-        if disc < 0.0:
-            return []
-        half = -0.5 * (c1 + math.copysign(math.sqrt(disc), c1))  # no cancellation
-        roots = [half / c2, c0 / half] if half else [0.0]
-    elif len(coeffs) > 3:
-        slopes = [j * c for j, c in enumerate(coeffs)][1:]
-        knots = [a, *_sign_cuts(slopes, a, b), b]
-        values = [_horner(coeffs, t) for t in knots]
-        roots = knots[1:-1]
-        for i in range(len(knots) - 1):
-            if values[i] * values[i + 1] < 0.0:
-                roots.append(_bracketed_root(coeffs, knots[i], knots[i + 1], values[i], values[i + 1]))
-    else:
-        return []
-    return sorted(r for r in roots if a < r < b)
-
-
-def clamped_integral(coeffs, floor: float, a: float, b: float) -> float:
-    """Integral of max(p, floor) over [a, b] for one polynomial, ascending coefficients.
-
-    ``ClampedPolynomials.integral`` for a single row, in plain floats with
-    the same ``_sign_cuts``: for callers that integrate one polynomial at
-    a time (the sampler's log-density), where array overhead would cost
-    several times the rest of the call.
-    """
-    if a > b:
-        raise ValueError("interval start must not exceed its end")
-    coeffs = np.asarray(coeffs, dtype=float).tolist()
-    knots = [a, *_sign_cuts([coeffs[0] - floor, *coeffs[1:]], a, b), b]
-    scaled = [c / (j + 1) for j, c in enumerate(coeffs)]  # antiderivative / t
-    anti = [t * _horner(scaled, t) for t in knots]
-    return sum(max(anti[i + 1] - anti[i], floor * (knots[i + 1] - knots[i]))
-               for i in range(len(knots) - 1))
+    coeffs = np.atleast_2d(np.asarray(coeffs, dtype=float))
+    n, k = coeffs.shape
+    degrees = ((coeffs != 0.0) * np.arange(k)).max(axis=1, initial=0)  # trailing zeros dropped
+    candidates = []  # (rows, their candidate cuts, nan where none)
+    with np.errstate(divide="ignore", invalid="ignore"):  # no real root gives nan, dropped below
+        for degree in np.bincount(degrees, minlength=k)[1:].nonzero()[0] + 1:
+            rows = degrees == degree
+            c = coeffs[rows, : degree + 1]
+            if degree == 1:
+                found = -c[:, :1] / c[:, 1:]
+            elif degree == 2:
+                c0, c1, c2 = c.T
+                disc = c1 * c1 - 4.0 * c2 * c0
+                half = -0.5 * (c1 + np.copysign(np.sqrt(disc), c1))  # no cancellation
+                found = np.stack([np.where(half == 0.0, 0.0, half / c2),
+                                  np.where(half == 0.0, math.nan, c0 / half)], axis=1)
+            else:
+                inner = _sign_cuts(c[:, 1:] * np.arange(1, degree + 1), a, b)
+                knots = np.hstack([np.full((len(c), 1), a), inner, np.full((len(c), 1), b)])
+                values = np.polynomial.polynomial.polyval(knots, c.T[:, :, None], tensor=False)
+                row, piece = (values[:, :-1] * values[:, 1:] < 0.0).nonzero()
+                found = np.full((len(c), inner.shape[1] + 1), math.nan)
+                found[row, piece] = _bracketed_roots(c[row], knots[row, piece], knots[row, piece + 1],
+                                                     values[row, piece], values[row, piece + 1])
+                found = np.hstack([inner, found])
+            candidates.append((rows, found))
+    roots = np.full((n, max((found.shape[1] for _, found in candidates), default=0)), math.nan)
+    for rows, found in candidates:
+        roots[rows, : found.shape[1]] = found
+    inside = (a < roots) & (roots < b)
+    cuts = np.sort(np.where(inside, roots, b), axis=1)
+    return cuts[:, : inside.sum(axis=1).max(initial=0)]
 
 
 def clamped_maximum(coeffs, floor: float, a: float, b: float) -> float:
     """Maximum of max(p, floor) over [a, b], a <= b: at an end or where p' changes sign."""
-    coeffs = np.asarray(coeffs, dtype=float).tolist()
-    slopes = [j * c for j, c in enumerate(coeffs)][1:]
-    return max(floor, *(_horner(coeffs, t) for t in (a, b, *_sign_cuts(slopes, a, b))))
+    coeffs = np.asarray(coeffs, dtype=float)
+    points = np.concatenate([[a, b], _sign_cuts(coeffs[1:] * np.arange(1, len(coeffs)), a, b)[0]])
+    return max(floor, float(np.polynomial.polynomial.polyval(points, coeffs).max()))
 
 
 class ClampedPolynomials:
@@ -218,8 +212,8 @@ class ClampedPolynomials:
 
     Each row's knots are found once: a row whose Bernstein coefficients of
     p_k - floor on [lo, hi] share a sign keeps that sign there and has
-    none; the others take theirs from ``_sign_cuts``.  Integrals over any
-    [a, b] inside the span are then exact and batched over rows.
+    none; the others take theirs from one ``_sign_cuts`` call.  Integrals
+    over any [a, b] inside the span are then exact and batched over rows.
     """
 
     def __init__(self, coeffs, floor: float, lo: float, hi: float):
@@ -228,13 +222,12 @@ class ClampedPolynomials:
         self.lo, self.hi = float(lo), float(hi)
         shifted = self.coeffs - self.floor * (np.arange(self.coeffs.shape[1]) == 0)
         bernstein = shifted @ bernstein_matrix(shifted.shape[1], self.lo, self.hi).T
-        mixed = ((bernstein.min(axis=1) < 0.0) & (bernstein.max(axis=1) > 0.0)).nonzero()[0]
-        cuts = [_sign_cuts(row, self.lo, self.hi) for row in shifted[mixed].tolist()]
+        mixed = (bernstein.min(axis=1) < 0.0) & (bernstein.max(axis=1) > 0.0)
+        cuts = _sign_cuts(shifted[mixed], self.lo, self.hi)
         # lo, the sorted sign cuts of p - floor (hi where absent), hi.
-        self._knots = np.full((len(shifted), max(map(len, cuts), default=0) + 2), self.hi)
+        self._knots = np.full((len(shifted), cuts.shape[1] + 2), self.hi)
         self._knots[:, 0] = self.lo
-        for row, row_cuts in zip(mixed, cuts):
-            self._knots[row, 1 : len(row_cuts) + 1] = row_cuts
+        self._knots[mixed, 1:-1] = cuts
         self._scaled = self.coeffs / np.arange(1, self.coeffs.shape[1] + 1)  # antiderivative / t
 
     def integral(self, a: float, b: float) -> np.ndarray:
@@ -253,7 +246,7 @@ class ClampedPolynomials:
 
 def cumulative_intensity(model: PolynomialIntensity, a: float, b: float) -> float:
     """Expected arrival count on [a, b]: exact integral of the clamped rate."""
-    return clamped_integral(model.coefficients, model.clamp_floor, a, b)
+    return float(ClampedPolynomials(model.coefficients, model.clamp_floor, a, b).integral(a, b)[0])
 
 
 def bin_events(events: list[ConjunctionEvent], bin_width: float) -> BinnedCounts:

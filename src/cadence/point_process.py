@@ -3,15 +3,16 @@
 Counts over an interval are Poisson with mean equal to the integrated
 (clamped) intensity; the next-arrival survival from a cutoff is the void
 probability of the interval beyond it.  Integrals and the thinning bound
-are exact (``intensity.ClampedPolynomials`` over posterior draws,
-``clamped_integral`` and ``clamped_maximum`` for one rate): their pieces
-come from bracketed root finding, skipped where the Bernstein
+are exact (``intensity.ClampedPolynomials`` over posterior draws or one
+rate, ``clamped_maximum`` for the bound): their pieces come from the one
+array root finder of ``intensity``, skipped where the Bernstein
 coefficients share a sign.  Thinning draws an event's candidates as a
-Poisson count of sorted uniform times at the bound and accepts them with
-one rate evaluation.
+Poisson count of sorted uniform times at the bound, computed once per
+model, and accepts them with one rate evaluation.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -78,8 +79,9 @@ def log_likelihood(
     return point_term - cumulative_intensity(model, window.start, window.end)
 
 
+@functools.lru_cache(maxsize=1)
 def thinning_rate_bound(model: PolynomialIntensity, window: ObservationWindow) -> float:
-    """Dominating rate for thinning: the exact maximum of the clamped rate."""
+    """Dominating rate for thinning: the exact maximum of the clamped rate, cached for the last pair."""
     return clamped_maximum(model.coefficients, model.clamp_floor, window.start, window.end)
 
 

@@ -100,6 +100,30 @@ class TestLogPosterior:
             assert value == pytest.approx(reference, rel=1e-9, abs=1e-9)
 
 
+    def test_crossing_batch_matches_reference(self):
+        # One call on states that cross the floor on [0, t_c], states that stay
+        # above it and states below it throughout matches, row by row, the
+        # prior plus the exact likelihood of each state on its own.
+        prior = GaussianPrior((2.0, -1.2, 0.0, 0.04), (1.0, 0.5, 0.2, 0.05))
+        arrivals = [0.2, 0.9, 1.4, 5.8, 6.3]
+        density = make_log_posterior(prior, arrivals, 6.5)
+        rng = np.random.default_rng(3)
+        noise = [0.02, 0.01, 0.002, 0.0002]
+        betas = np.vstack([
+            [2.0, -1.2, 0.0, 0.04] + rng.normal(0.0, noise, size=(30, 4)),  # dip below the floor
+            [3.0, 0.1, 0.0, 0.01] + rng.normal(0.0, noise, size=(20, 4)),  # stay above it
+            [-1.0, -0.1, 0.0, -0.01] + rng.normal(0.0, noise, size=(10, 4)),  # below it throughout
+        ])
+        grid = np.vander(np.linspace(0.0, 6.5, 1001), 4, increasing=True) @ betas.T
+        lowest, highest = grid.min(axis=0), grid.max(axis=0)
+        assert np.all((lowest[:30] < 1e-6) & (highest[:30] > 1e-6))
+        assert np.all(lowest[30:50] > 1e-6) and np.all(highest[50:] < 1e-6)
+        batched = density(betas)
+        for beta, value in zip(betas, batched):
+            assert value == pytest.approx(reference_log_posterior(prior, arrivals, 6.5, beta),
+                                          rel=1e-12)
+
+
 def standard_normal(states):
     return -0.5 * (states * states).sum(axis=1)
 

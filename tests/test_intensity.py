@@ -19,7 +19,6 @@ from cadence.intensity import (
     RidgeConfig,
     _sign_cuts,
     bin_events,
-    clamped_integral,
     clamped_maximum,
     cumulative_intensity,
     fit_ridge,
@@ -116,7 +115,9 @@ def floor_crossings(coeffs, floor, a, b):
     grid = np.linspace(a, b, 10_001)
     values = excess(grid)
     cells = np.flatnonzero(np.sign(values[:-1]) * np.sign(values[1:]) < 0)
-    return [scipy.optimize.brentq(excess, grid[i], grid[i + 1], xtol=1e-15) for i in cells]
+    roots = [scipy.optimize.brentq(excess, grid[i], grid[i + 1], xtol=1e-15) for i in cells]
+    on_grid = np.flatnonzero(values[1:-1] == 0.0) + 1  # a root can fall on a grid point
+    return sorted(roots + [grid[i] for i in on_grid if values[i - 1] * values[i + 1] < 0])
 
 
 class TestClampedPolynomials:
@@ -140,7 +141,8 @@ class TestClampedPolynomials:
                                          or None, epsabs=0.0, epsrel=1e-12, limit=200)
         value = ClampedPolynomials(coeffs, floor, a, b).integral(a, b)[0]
         assert value == pytest.approx(oracle, rel=1e-9, abs=1e-12)
-        assert clamped_integral(coeffs, floor, a, b) == pytest.approx(oracle, rel=1e-9, abs=1e-12)
+        model = PolynomialIntensity(tuple(coeffs), floor)
+        assert cumulative_intensity(model, a, b) == pytest.approx(oracle, rel=1e-9, abs=1e-12)
 
     @given(
         st.lists(st.floats(-3, 3), min_size=1, max_size=6),
@@ -164,7 +166,8 @@ class TestClampedPolynomials:
                                          or None, epsabs=0.0, epsrel=1e-12, limit=200)
         value = ClampedPolynomials(coeffs, floor, a, b).integral(a, b)[0]
         assert value == pytest.approx(oracle, rel=1e-9, abs=1e-12)
-        assert clamped_integral(coeffs, floor, a, b) == pytest.approx(oracle, rel=1e-9, abs=1e-12)
+        model = PolynomialIntensity(tuple(coeffs), floor)
+        assert cumulative_intensity(model, a, b) == pytest.approx(oracle, rel=1e-9, abs=1e-12)
 
     def test_rows_are_independent(self):
         coeffs = np.array([
@@ -180,7 +183,8 @@ class TestClampedPolynomials:
         assert batch == pytest.approx(single, rel=1e-15)
         assert batch[:3] == pytest.approx([1.5, 1.5e-6, (2.0**4 - 0.5**4) / 4], rel=1e-12)
         for value, row in zip(batch, coeffs):
-            assert value == pytest.approx(clamped_integral(row, 1e-6, 0.5, 2.0), rel=1e-12)
+            single_span = cumulative_intensity(PolynomialIntensity(tuple(row)), 0.5, 2.0)
+            assert value == pytest.approx(single_span, rel=1e-12)
 
     def test_interval_outside_span_rejected(self):
         rates = ClampedPolynomials([[1.0, -1.0], [0.5, 0.0]], 1e-6, 1.0, 3.0)
@@ -196,7 +200,32 @@ class TestClampedPolynomials:
         coeffs = [2.883086020103878, 2.030637093154307, 0.09964276285215716, -0.09448867360295944]
         root = scipy.optimize.brentq(lambda t: np.polynomial.polynomial.polyval(t, coeffs),
                                      4.5, 7.0, xtol=1e-15)
-        assert _sign_cuts(coeffs, 4.5, 7.0) == [pytest.approx(root, abs=1e-13)]
+        assert _sign_cuts([coeffs], 4.5, 7.0).tolist() == [[pytest.approx(root, abs=1e-13)]]
+
+    def test_batch_cuts_match_one_row_at_a_time(self):
+        # Each row keeps its own degree: trailing zeros are dropped, a leading
+        # term at 1e-183 keeps a cubic, and a double root at t = 1 touches zero
+        # without changing sign, so it stays a cut only as a root of p'.
+        rows = np.array([
+            [0.96, -2.0, 1.0, 0.0],  # (t - 1)^2 - 0.04: roots 0.8 and 1.2
+            [0.5, -3.0, 0.0, 0.0],  # linear: root 1/6
+            [0.0, 1.0, -2.0, 2.6e-183],  # t - 2 t^2: root 0.5 in range
+            [2.0 - 1e-6, -1.2, 0.0, 0.04],  # dips below the floor twice on (1, 7)
+            [1.0, -1.0, -1.0, 1.0],  # (t - 1)^2 (t + 1)
+            [-1.0, 0.0, 0.0, 0.0],  # constant: no cuts
+            [0.0, 0.0, 0.0, 0.0],
+        ])
+        batch = _sign_cuts(rows, 0.1, 7.0)
+        assert batch.shape[0] == len(rows)
+        for row, cuts in zip(rows, batch):
+            single = _sign_cuts(row[None], 0.1, 7.0)[0]
+            assert cuts[: len(single)].tolist() == single.tolist()
+            assert np.all(cuts[len(single) :] == 7.0)
+        assert batch[0, :2] == pytest.approx([0.8, 1.2], rel=1e-12)
+        assert batch[1, 0] == pytest.approx(1 / 6, rel=1e-12)
+        assert batch[2, :2] == pytest.approx([0.25, 0.5], rel=1e-12)  # p' = 0 at 0.25
+        assert batch[4, 0] == 1.0 and np.all(batch[4, 1:] == 7.0)
+        assert np.all(batch[5:] == 7.0)
 
     def test_maximum_at_root_of_derivative(self):
         # p(t) = 1 + 3t - t^2 peaks at t = 1.5 with p = 3.25.

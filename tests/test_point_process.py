@@ -11,7 +11,13 @@ import scipy.stats
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cadence.intensity import PolynomialIntensity, cumulative_intensity, intensity_on_grid
+from cadence.intensity import (
+    ClampedPolynomials,
+    PolynomialIntensity,
+    clamped_maximum,
+    cumulative_intensity,
+    intensity_on_grid,
+)
 from cadence.point_process import (
     MixtureSurvival,
     ObservationWindow,
@@ -94,14 +100,14 @@ class TestSimulateThinning:
         # below the floor mid-window.
         model = PolynomialIntensity((2.0, -1.2, 0.0, 0.04))
         window = ObservationWindow(0.0, 7.0)
-        total = cumulative_intensity(model, window.start, window.end)
+        rate = ClampedPolynomials(model.coefficients, model.clamp_floor, window.start, window.end)
+        total = rate.integral(window.start, window.end)[0]
         transformed = []
         for seed in range(1000):
             arrivals = simulate_thinning(model, window, seed)
             assert all(a < b for a, b in zip(arrivals, arrivals[1:]))
             assert all(window.start <= t <= window.end for t in arrivals)
-            transformed += [cumulative_intensity(model, window.start, t) / total
-                            for t in arrivals]
+            transformed += [rate.integral(window.start, t)[0] / total for t in arrivals]
         assert len(transformed) > 5000
         assert scipy.stats.kstest(transformed, "uniform").pvalue > 1e-4
 
@@ -130,6 +136,21 @@ class TestThinningRateBound:
             method="bounded", options={"xatol": 1e-12},
         )
         assert bound == pytest.approx(max(rate[i], -refined.fun), rel=1e-9)
+
+    def test_cache_hits_match_misses(self):
+        # The bound is cached for the last (model, window); a model built from
+        # a list of ints is the same key as one built from a tuple of floats.
+        window = ObservationWindow(0.0, 7.0)
+        dipping = PolynomialIntensity((2.0, -1.2, 0.0, 0.04))
+        peaked = PolynomialIntensity([1, 3, -1])
+        assert peaked.coefficients == (1.0, 3.0, -1.0)
+        expected = {model: clamped_maximum(model.coefficients, model.clamp_floor, 0.0, 7.0)
+                    for model in (dipping, peaked)}
+        thinning_rate_bound.cache_clear()
+        for model in (dipping, dipping, peaked, PolynomialIntensity((1.0, 3.0, -1.0)), dipping):
+            assert thinning_rate_bound(model, window) == expected[model]
+        info = thinning_rate_bound.cache_info()
+        assert (info.hits, info.misses) == (2, 3)
 
 
 class TestNextArrivalSurvival:
