@@ -99,8 +99,9 @@ def make_log_posterior(
         moments = t_c * t_c ** np.arange(dim) / np.arange(1, dim + 1)
         arrival_powers = np.vander(np.asarray(arrivals, dtype=float), dim, increasing=True)
         # One product gives the Bernstein coefficients, the rate at each arrival
-        # and the integral of the unclamped rate.
-        design = np.vstack([bernstein_matrix(dim, 0.0, t_c), arrival_powers, moments]).T
+        # and the integral of the unclamped rate.  Row-major, so that a
+        # product with thousands of states stays on one BLAS thread.
+        design = np.vstack([bernstein_matrix(dim, 0.0, t_c), arrival_powers, moments]).T.copy()
 
     def density(states: np.ndarray) -> np.ndarray:
         z = (states - mu) / sigma
@@ -113,8 +114,9 @@ def make_log_posterior(
         if crossing.any():
             integral[crossing] = ClampedPolynomials(states[crossing], clamp_floor,
                                                     0.0, t_c).integral(0.0, t_c)
-        lam_points = np.maximum(product[:, dim:-1], clamp_floor)
-        return lp + np.log(lam_points).sum(axis=1) - integral
+        lam_points = product[:, dim:-1]  # in place: a call holds one (k, arrivals) array
+        np.log(np.maximum(lam_points, clamp_floor, out=lam_points), out=lam_points)
+        return lp + lam_points.sum(axis=1) - integral
 
     return density
 

@@ -131,7 +131,7 @@ def _bracketed_roots(coeffs: np.ndarray, lo, hi, v_lo, v_hi) -> np.ndarray:
     x, step = lo - v_lo * (hi - lo) / (v_hi - v_lo), hi - lo
     lo_negative = v_lo < 0.0
     roots, pending = np.empty_like(x), np.arange(len(x))
-    with np.errstate(divide="ignore", invalid="ignore"):  # a zero slope gives an infinite step
+    with np.errstate(all="ignore"):  # a zero slope gives an infinite step
         for _ in range(ROOT_MAX_ITER):
             slope = coeffs[:, -1]
             v = slope * x + coeffs[:, -2]
@@ -170,7 +170,7 @@ def _sign_cuts(coeffs, a: float, b: float) -> np.ndarray:
     n, k = coeffs.shape
     degrees = ((coeffs != 0.0) * np.arange(k)).max(axis=1, initial=0)  # trailing zeros dropped
     candidates = []  # (rows, their candidate cuts, nan where none)
-    with np.errstate(divide="ignore", invalid="ignore"):  # no real root gives nan, dropped below
+    with np.errstate(all="ignore"):  # no real root gives nan, one far away inf: both dropped
         for degree in np.bincount(degrees, minlength=k)[1:].nonzero()[0] + 1:
             rows = degrees == degree
             c = coeffs[rows, : degree + 1]
