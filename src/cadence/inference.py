@@ -99,8 +99,9 @@ def make_log_posterior(
         moments = t_c * t_c ** np.arange(dim) / np.arange(1, dim + 1)
         arrival_powers = np.vander(np.asarray(arrivals, dtype=float), dim, increasing=True)
         # One product gives the Bernstein coefficients, the rate at each arrival
-        # and the integral of the unclamped rate.  Row-major, so that a
-        # product with thousands of states stays on one BLAS thread.
+        # and the integral of the unclamped rate.  Row-major: OpenBLAS spread
+        # the transposed layout's product with 4004 states over threads that
+        # kept spinning after it.
         design = np.vstack([bernstein_matrix(dim, 0.0, t_c), arrival_powers, moments]).T.copy()
 
     def density(states: np.ndarray) -> np.ndarray:
