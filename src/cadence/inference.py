@@ -99,9 +99,8 @@ def make_log_posterior(
         moments = t_c * t_c ** np.arange(dim) / np.arange(1, dim + 1)
         arrival_powers = np.vander(np.asarray(arrivals, dtype=float), dim, increasing=True)
         # One product gives the Bernstein coefficients, the rate at each arrival
-        # and the integral of the unclamped rate.  Row-major: OpenBLAS spread
-        # the transposed layout's product with 4004 states over threads that
-        # kept spinning after it.
+        # and the integral of the unclamped rate.  Row-major: with the transposed
+        # layout OpenBLAS ran 4004-state products on threads that kept spinning.
         design = np.vstack([bernstein_matrix(dim, 0.0, t_c), arrival_powers, moments]).T.copy()
 
     def density(states: np.ndarray) -> np.ndarray:
@@ -194,11 +193,10 @@ def sample_posterior(
     rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(config.seed).spawn(config.chains)]
     normals = np.stack([rng.standard_normal((config.draws, dim)) for rng in rngs])
     stretch = np.stack([nu / rng.chisquare(nu, config.draws) for rng in rngs])
-    log_uniforms = np.log([rng.uniform(size=config.draws) for rng in rngs]).tolist()
-    proposals = centre + np.sqrt(stretch)[:, :, None] * (normals @ chol.T)
-    states = np.concatenate([np.broadcast_to(centre, (config.chains, 1, dim)), proposals], axis=1)
-    # Squared Mahalanobis distance of each state from the centre, which is
-    # where every chain starts.
+    log_uniforms = np.log([rng.uniform(size=config.draws) for rng in rngs])
+    states = np.concatenate([np.broadcast_to(centre, (config.chains, 1, dim)),
+                             centre + np.sqrt(stretch)[:, :, None] * (normals @ chol.T)], axis=1)
+    # Squared Mahalanobis distance from the centre, where every chain starts.
     distance = np.pad(stretch * (normals * normals).sum(axis=2), ((0, 0), (1, 0)))
     log_proposal = -0.5 * (nu + dim) * np.log1p(distance / nu)
     values = log_density(states.reshape(-1, dim))
@@ -206,7 +204,7 @@ def sample_posterior(
 
     all_draws = np.empty((config.chains, config.draws, dim))
     acceptance = []
-    for c, (weights, uniforms) in enumerate(zip(log_weights, log_uniforms)):
+    for c, (weights, uniforms) in enumerate(zip(log_weights, log_uniforms.tolist())):
         if not math.isfinite(weights[0]):
             raise RuntimeError(f"chain {c}: non-finite log-density at initialization")
         current, accepted, kept = 0, 0, []

@@ -147,11 +147,12 @@ def _bracketed_roots(coeffs: np.ndarray, lo, hi, v_lo, v_hi) -> np.ndarray:
             step = np.where(take, newton - x, 0.5 * (hi - lo))
             x = np.where(take, newton, 0.5 * (lo + hi))
             finished = close | (np.abs(step) <= ROOT_XTOL * (1.0 + np.abs(x)))
-            roots[pending[finished]] = np.where(close, newton, x)[finished]
-            pending, coeffs, lo, hi, x, step, lo_negative = (
-                array[~finished] for array in (pending, coeffs, lo, hi, x, step, lo_negative))
-            if not len(pending):
-                break
+            if finished.any():
+                roots[pending[finished]] = np.where(close, newton, x)[finished]
+                pending, coeffs, lo, hi, x, step, lo_negative = (
+                    array[~finished] for array in (pending, coeffs, lo, hi, x, step, lo_negative))
+                if not len(pending):
+                    break
     roots[pending] = x
     return roots
 
@@ -173,7 +174,7 @@ def _sign_cuts(coeffs, a: float, b: float) -> np.ndarray:
     with np.errstate(all="ignore"):  # no real root gives nan, one far away inf: both dropped
         for degree in np.bincount(degrees, minlength=k)[1:].nonzero()[0] + 1:
             rows = degrees == degree
-            c = coeffs[rows, : degree + 1]
+            c = coeffs[:, : degree + 1] if rows.all() else coeffs[rows, : degree + 1]
             if degree == 1:
                 found = -c[:, :1] / c[:, 1:]
             elif degree == 2:

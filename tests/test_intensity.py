@@ -153,6 +153,7 @@ class TestClampedPolynomials:
     @settings(max_examples=200, deadline=None)
     @example(coeffs=[-1.0 + 1e-6, 3.0, -3.0, 1.0], lead=1.0, x=0.0, y=2.0)  # root where p' = 0
     @example(coeffs=[0.5, -1.0, 1.0], lead=1e-15, x=0.0, y=1.0)  # leading term at rounding level
+    @example(coeffs=[0.0, 0.0, 1.0], lead=1.0, x=0.0, y=1.0)  # crosses at t = 0.001, a grid point
     def test_single_row_matches_adaptive_quadrature(self, coeffs, lead, x, y):
         # Any degree, with a leading term down to rounding next to the rest.
         coeffs = [*coeffs[:-1], coeffs[-1] * lead]
