@@ -190,7 +190,7 @@ def sample_posterior(
     centre, chol = _fit_proposal(log_density, init_mean, init_scale)
     nu = PROPOSAL_DOF
 
-    rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(config.seed).spawn(config.chains)]
+    rngs = list(map(np.random.default_rng, np.random.SeedSequence(config.seed).spawn(config.chains)))
     normals = np.stack([rng.standard_normal((config.draws, dim)) for rng in rngs])
     stretch = np.stack([nu / rng.chisquare(nu, config.draws) for rng in rngs])
     log_uniforms = np.log([rng.uniform(size=config.draws) for rng in rngs])

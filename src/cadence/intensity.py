@@ -119,7 +119,7 @@ def bernstein_matrix(n_coeffs: int, lo: float, hi: float) -> np.ndarray:
 
 
 def _bracketed_roots(coeffs: np.ndarray, lo, hi, v_lo, v_hi) -> np.ndarray:
-    """Roots of polynomials (rows of ``coeffs``), each monotone on its [lo, hi] and changing sign there.
+    """Roots of the rows of ``coeffs``, each monotone on its [lo, hi] and changing sign there.
 
     Newton's method from the secant point, kept inside the shrinking bracket:
     a step that leaves it, or that does not halve the step before, bisects.

@@ -81,7 +81,7 @@ def log_likelihood(
 
 @functools.lru_cache(maxsize=1)
 def thinning_rate_bound(model: PolynomialIntensity, window: ObservationWindow) -> float:
-    """Dominating rate for thinning: the exact maximum of the clamped rate, cached for the last pair."""
+    """Thinning bound: exact maximum of the clamped rate, cached for the last (model, window)."""
     return clamped_maximum(model.coefficients, model.clamp_floor, window.start, window.end)
 
 
