@@ -2,14 +2,27 @@
 
 Arrival times live in "window coordinates": t = 0 at (TCA - window_days)
 and t = window_days exactly at the TCA, measured in days.
+
+Rows move as columns.  ``parse_csv`` keeps the event ids as strings and
+converts the timestamps to int64 seconds since the Unix epoch with numpy,
+``CHUNK_ROWS`` rows per call, so the temporaries stay a few hundred
+kilobytes at any file size.  A chunk is accepted only if formatting it
+back gives its input text; otherwise its rows are checked one by one to
+report the first bad row's line.  ``assemble_events`` groups the columns
+by one sort, and ``events_to_csv`` formats each chunk of events' times
+with one numpy call.
 """
 from __future__ import annotations
 
 import csv
 import io
 import logging
+import warnings
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
+from itertools import chain
+
+import numpy as np
 
 from .errors import FormatError, InsufficientHistoryError, RowError
 
@@ -18,35 +31,57 @@ logger = logging.getLogger(__name__)
 _CSV_COLUMNS = ("event_id", "tca", "creation_date")
 
 SECONDS_PER_DAY = 86400.0
+CHUNK_ROWS = 4096  # rows per numpy conversion when parsing
+CHUNK_EVENTS = 512  # events per numpy formatting call when writing
+
+_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+_SECOND = timedelta(seconds=1)
+# The years datetime can hold; they also keep the year at four digits.
+_EARLIEST = np.datetime64("0001-01-01T00:00:00", "s")
+_LATEST = np.datetime64("9999-12-31T23:59:59", "s")
 
 
-def parse_timestamp(text: str) -> datetime:
-    """Parse an ISO-8601 UTC timestamp at second precision ('Z' optional)."""
-    raw = text.strip()
-    if raw.endswith("Z"):
-        raw = raw[:-1]
+def _epoch_seconds(texts: list[str]) -> np.ndarray | None:
+    """Seconds since the epoch of 'YYYY-MM-DDTHH:MM:SS' stamps, or None if any is malformed.
+
+    Each text may carry surrounding whitespace and one trailing 'Z'.
+    """
+    raw = [text.strip().removesuffix("Z") for text in texts]
     try:
-        stamp = datetime.strptime(raw, "%Y-%m-%dT%H:%M:%S")
-    except ValueError as exc:
-        raise FormatError(f"unparseable timestamp: {text!r}") from exc
-    return stamp.replace(tzinfo=timezone.utc)
+        with warnings.catch_warnings():
+            # numpy warns, and still converts, when a stamp has an offset.
+            warnings.simplefilter("error")
+            stamps = np.array(raw, dtype="datetime64[s]")
+    except (ValueError, UserWarning):
+        return None
+    # numpy also reads dates, minutes, fractions, spaces, 'NaT' and 'now';
+    # only a stamp that formats back to its own text is exact.  NaT fails
+    # both comparisons.
+    in_range = (stamps >= _EARLIEST) & (stamps <= _LATEST)
+    if not in_range.all() or np.datetime_as_string(stamps, unit="s").tolist() != raw:
+        return None
+    return stamps.astype(np.int64)
 
 
-def format_timestamp(stamp: datetime) -> str:
-    return stamp.astimezone(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+def _format_seconds(seconds: np.ndarray) -> np.ndarray:
+    """'YYYY-MM-DDTHH:MM:SSZ' texts of int64 seconds since the epoch."""
+    return np.datetime_as_string(seconds.astype("datetime64[s]"), unit="s", timezone="UTC")
 
 
-@dataclass(frozen=True)
-class CdmRecord:
-    """One CDM's metadata: who it belongs to and when it was issued."""
+@dataclass(frozen=True, eq=False)
+class CdmColumns:
+    """CDM metadata rows as columns, in file order.
 
-    event_id: str
-    tca: datetime
-    creation_date: datetime
+    ``tca`` and ``creation_date`` are int64 seconds since the Unix epoch
+    (UTC); ``len()`` is the number of rows.
+    """
 
-    def __post_init__(self):
-        if not self.event_id:
-            raise ValueError("event_id must be non-empty")
+    event_id: list[str]
+    tca: np.ndarray
+    creation_date: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.event_id)
 
 
 @dataclass(frozen=True)
@@ -74,82 +109,129 @@ class ConjunctionEvent:
             prev = t
 
 
-def parse_csv(data: bytes) -> list[CdmRecord]:
-    """Parse CDM records from CSV bytes with header event_id,tca,creation_date.
+def parse_csv(data: bytes) -> CdmColumns:
+    """Parse CDM rows from CSV bytes with header event_id,tca,creation_date.
 
-    Extra columns are ignored; rows are returned in file order.
+    Timestamps are UTC 'YYYY-MM-DDTHH:MM:SS' with zero-padded fields, an
+    optional trailing 'Z' and optional surrounding whitespace.  Extra
+    columns are ignored, blank lines skipped and a short row's missing
+    fields read as empty.  The first malformed row raises ``RowError``
+    with its physical line number.
     """
-    text = data.decode("utf-8")
-    reader = csv.DictReader(io.StringIO(text))
-    if reader.fieldnames is None:
+    reader = csv.reader(io.StringIO(data.decode("utf-8")))
+    header = next(reader, None)
+    if header is None:
         raise FormatError("empty input: missing CSV header")
-    missing = [c for c in _CSV_COLUMNS if c not in reader.fieldnames]
+    missing = [c for c in _CSV_COLUMNS if c not in header]
     if missing:
         raise FormatError(f"malformed header: missing column(s) {', '.join(missing)}")
-    records = []
+    # A repeated column name reads its last occurrence.
+    position = {name: k for k, name in enumerate(header)}
+    id_col, tca_col, created_col = (position[c] for c in _CSV_COLUMNS)
+    width = max(id_col, tca_col, created_col) + 1
+
+    ids: list[str] = []
+    tca: list[np.ndarray] = []
+    created: list[np.ndarray] = []
+    for rows, lines in _chunks(reader, width):
+        chunk_ids = [row[id_col].strip() for row in rows]
+        chunk_tca = _epoch_seconds([row[tca_col] for row in rows])
+        chunk_created = _epoch_seconds([row[created_col] for row in rows])
+        if chunk_tca is None or chunk_created is None or not all(chunk_ids):
+            _raise_first_bad_row(rows, lines, id_col, tca_col, created_col)
+        ids.extend(chunk_ids)
+        tca.append(chunk_tca)
+        created.append(chunk_created)
+    empty = np.zeros(0, dtype=np.int64)
+    return CdmColumns(
+        event_id=ids,
+        tca=np.concatenate(tca) if tca else empty,
+        creation_date=np.concatenate(created) if created else empty,
+    )
+
+
+def _chunks(reader, width: int):
+    """(rows, line numbers) of up to CHUNK_ROWS non-blank rows, padded to ``width``."""
+    rows: list[list[str]] = []
+    lines: list[int] = []
     for row in reader:
-        line = reader.line_num
-        try:
-            records.append(
-                CdmRecord(
-                    event_id=(row["event_id"] or "").strip(),
-                    tca=parse_timestamp(row["tca"] or ""),
-                    creation_date=parse_timestamp(row["creation_date"] or ""),
-                )
-            )
-        except (FormatError, ValueError) as exc:
-            raise RowError(line, str(exc)) from exc
-    return records
+        if not row:
+            continue
+        if len(row) < width:
+            row += [""] * (width - len(row))
+        rows.append(row)
+        lines.append(reader.line_num)
+        if len(rows) == CHUNK_ROWS:
+            yield rows, lines
+            rows, lines = [], []
+    if rows:
+        yield rows, lines
 
 
-def assemble_events(records: list[CdmRecord], window_days: float) -> list[ConjunctionEvent]:
-    """Group records by event id into ConjunctionEvents.
+def _raise_first_bad_row(rows, lines, id_col, tca_col, created_col):
+    for row, line in zip(rows, lines):
+        for text in (row[tca_col], row[created_col]):
+            if _epoch_seconds([text]) is None:
+                raise RowError(line, f"unparseable timestamp: {text!r}")
+        if not row[id_col].strip():
+            raise RowError(line, "event_id must be non-empty")
+    raise AssertionError("a chunk that failed has no bad row")
 
-    Within a group the latest record's TCA wins and earlier arrivals are
-    re-mapped against it.  Records with creation_date after the TCA or
+
+def assemble_events(records: CdmColumns, window_days: float) -> list[ConjunctionEvent]:
+    """Group rows by event id into ConjunctionEvents.
+
+    Within a group the latest row's TCA wins and earlier arrivals are
+    re-mapped against it.  Rows with creation_date after the TCA or
     falling before the window start are dropped with a warning; exact
     duplicate creation times collapse to one arrival.  Groups left with
     no arrivals are omitted.  Output is sorted by event id, so assembly
-    is invariant to input record order.
+    is invariant to input row order.
     """
     if window_days <= 0:
         raise ValueError("window_days must be positive")
-    groups: dict[str, list[CdmRecord]] = {}
-    for rec in records:
-        groups.setdefault(rec.event_id, []).append(rec)
+    if len(records) == 0:
+        return []
+    names = sorted(set(records.event_id))
+    code = {name: k for k, name in enumerate(names)}
+    group = np.fromiter(map(code.__getitem__, records.event_id), np.int64, len(records))
+    # Rows by event, then creation time: the order the warnings are logged in.
+    order = np.lexsort((records.creation_date, group))
+    group, created = group[order], records.creation_date[order]
 
-    events = []
-    for event_id in sorted(groups):
-        group = groups[event_id]
-        tca = max(rec.tca for rec in group)
-        creations = sorted({rec.creation_date for rec in group})
-        arrivals = []
-        for created in creations:
-            if created > tca:
-                logger.warning(
-                    "event %s: dropping CDM created %s after TCA %s",
-                    event_id, format_timestamp(created), format_timestamp(tca),
-                )
-                continue
-            t = window_days - (tca - created).total_seconds() / SECONDS_PER_DAY
-            if t < 0.0:
-                logger.warning(
-                    "event %s: dropping CDM created %s before window start",
-                    event_id, format_timestamp(created),
-                )
-                continue
-            arrivals.append(t)
-        if not arrivals:
-            continue
-        events.append(
-            ConjunctionEvent(
-                event_id=event_id,
-                tca=tca,
-                window_days=window_days,
-                arrivals=tuple(arrivals),
-            )
+    boundary = np.r_[True, group[1:] != group[:-1]]
+    tca = np.maximum.reduceat(records.tca[order], np.flatnonzero(boundary))  # one per event id
+    row_tca = tca[group]
+    first = boundary | np.r_[True, created[1:] != created[:-1]]  # one row per creation time
+    after = created > row_tca
+    t = window_days - (row_tca - created) / SECONDS_PER_DAY
+    before = ~after & (t < 0.0)
+
+    for k in np.flatnonzero(first & (after | before)).tolist():
+        name = names[group[k]]
+        created_text, tca_text = _format_seconds(np.array([created[k], row_tca[k]])).tolist()
+        if after[k]:
+            logger.warning("event %s: dropping CDM created %s after TCA %s",
+                           name, created_text, tca_text)
+        else:
+            logger.warning("event %s: dropping CDM created %s before window start",
+                           name, created_text)
+
+    keep = first & ~after & ~before
+    if not keep.any():
+        return []
+    kept_group, kept_t = group[keep], t[keep].tolist()
+    starts = np.flatnonzero(np.r_[True, kept_group[1:] != kept_group[:-1]])
+    ends = [*starts[1:].tolist(), len(kept_t)]
+    return [
+        ConjunctionEvent(
+            event_id=names[g],
+            tca=_EPOCH + timedelta(seconds=int(tca[g])),
+            window_days=window_days,
+            arrivals=tuple(kept_t[lo:hi]),
         )
-    return events
+        for g, lo, hi in zip(kept_group[starts].tolist(), starts.tolist(), ends)
+    ]
 
 
 def events_to_csv(events: list[ConjunctionEvent]) -> str:
@@ -157,12 +239,17 @@ def events_to_csv(events: list[ConjunctionEvent]) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(_CSV_COLUMNS)
-    for event in events:
-        tca = format_timestamp(event.tca)
-        for t in event.arrivals:
-            seconds = round((event.window_days - t) * SECONDS_PER_DAY)
-            created = event.tca - timedelta(seconds=seconds)
-            writer.writerow([event.event_id, tca, format_timestamp(created)])
+    for start in range(0, len(events), CHUNK_EVENTS):
+        chunk = events[start:start + CHUNK_EVENTS]
+        sizes = [len(event.arrivals) for event in chunk]
+        tca = np.array([(event.tca - _EPOCH) // _SECOND for event in chunk], dtype=np.int64)
+        window = np.repeat([float(event.window_days) for event in chunk], sizes)
+        arrivals = np.fromiter(chain.from_iterable(e.arrivals for e in chunk), float, sum(sizes))
+        before_tca = np.rint((window - arrivals) * SECONDS_PER_DAY).astype(np.int64)
+        stamps = _format_seconds(np.concatenate([tca, np.repeat(tca, sizes) - before_tca]))
+        ids = np.repeat(np.array([event.event_id for event in chunk], dtype=object), sizes)
+        tca_texts = np.repeat(stamps[:len(chunk)].astype(object), sizes)
+        writer.writerows(zip(ids, tca_texts, stamps[len(chunk):].tolist()))
     return out.getvalue()
 
 

@@ -1,23 +1,48 @@
 """Parsing, event assembly, and cutoff-split behaviour."""
 
+import csv
+import io
+import logging
 import random
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 
 import pytest
 
+from cadence import ingest
 from cadence.errors import FormatError, InsufficientHistoryError, RowError
 from cadence.ingest import (
-    CdmRecord,
     ConjunctionEvent,
     assemble_events,
     events_to_csv,
     parse_csv,
     split_at_cutoff,
 )
+from cadence.intensity import PolynomialIntensity
+from cadence.point_process import ObservationWindow, simulate_thinning
+
+HEADER = "event_id,tca,creation_date\n"
+GOOD = "2023-01-10T00:00:00Z"
 
 
 def utc(*args):
     return datetime(*args, tzinfo=timezone.utc)
+
+
+def seconds(stamp):
+    return int((stamp - utc(1970, 1, 1)).total_seconds())
+
+
+def stamp(when):
+    return when.strftime("%Y-%m-%dT%H:%M:%SZ")
+
+
+def csv_bytes(rows):
+    """Ingestion CSV of (event_id, tca, creation_date) rows; datetimes are formatted."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["event_id", "tca", "creation_date"])
+    writer.writerows([e, stamp(t), stamp(c)] for e, t, c in rows)
+    return out.getvalue().encode()
 
 
 class TestParseCsv:
@@ -25,12 +50,12 @@ class TestParseCsv:
         data = b"event_id,tca,creation_date\nE1,2023-01-10T00:00:00Z,2023-01-03T12:00:00Z\n"
         records = parse_csv(data)
         assert len(records) == 1
-        assert records[0].event_id == "E1"
-        assert records[0].tca == utc(2023, 1, 10)
-        assert records[0].creation_date == utc(2023, 1, 3, 12)
+        assert records.event_id[0] == "E1"
+        assert records.tca[0] == seconds(utc(2023, 1, 10))
+        assert records.creation_date[0] == seconds(utc(2023, 1, 3, 12))
 
     def test_header_only(self):
-        assert parse_csv(b"event_id,tca,creation_date\n") == []
+        assert len(parse_csv(b"event_id,tca,creation_date\n")) == 0
 
     def test_bad_timestamp_carries_line_number(self):
         data = b"event_id,tca,creation_date\nE1,2023-01-10T00:00:00Z,not-a-date\n"
@@ -47,49 +72,109 @@ class TestParseCsv:
             b"event_id,tca,creation_date,miss_distance\n"
             b"E1,2023-01-10T00:00:00Z,2023-01-03T12:00:00Z,123\n"
         )
-        assert parse_csv(data)[0].event_id == "E1"
+        assert parse_csv(data).event_id[0] == "E1"
 
     def test_crlf_line_endings(self):
         data = b"event_id,tca,creation_date\r\nE1,2023-01-10T00:00:00Z,2023-01-03T12:00:00Z\r\n"
         assert len(parse_csv(data)) == 1
 
+    @pytest.mark.parametrize("text", [
+        "2023-01-03T12:00:00",
+        "2023-01-03T12:00:00Z",
+        "  2023-01-03T12:00:00Z\t",
+        " 2023-01-03T12:00:00 ",
+    ])
+    def test_accepted_timestamp(self, text):
+        records = parse_csv(f"{HEADER}E1,{GOOD},{text}\n".encode())
+        assert records.creation_date.tolist() == [seconds(utc(2023, 1, 3, 12))]
+
+    @pytest.mark.parametrize("text", [
+        "2023-01-03",  # date only
+        "2023-01-03T12:00",  # minute precision
+        "2023-01-03 12:00:00",  # space separator
+        "2023-01-03T12:00:00.5",  # fractional seconds
+        "2023-01-03T12:00:00+00:00",  # offset
+        "2023-01-03T12:00:00ZZ",
+        "2020-02-30T00:00:00",  # no such day
+        "",
+        "NaT",
+        "now",
+        "2020-1-1T1:2:3",  # single-digit fields
+        "2023-01-03t12:00:00",  # lowercase separator
+        "0000-01-01T00:00:00",  # before year 1
+        "10000-01-01T00:00:00",  # five-digit year
+    ])
+    def test_rejected_timestamp(self, text):
+        with pytest.raises(RowError) as err:
+            parse_csv(f"{HEADER}E1,{GOOD},{GOOD}\nE1,{GOOD},{text}\n".encode())
+        assert err.value.line == 3
+        assert repr(text) in str(err.value)
+
+    def test_bad_row_after_first_chunk(self):
+        n = ingest.CHUNK_ROWS + 10
+        rows = [f"E{k},{GOOD},{GOOD}\n" for k in range(n)]
+        rows[n - 3] = f"E,{GOOD},2023-01-03T12:00\n"
+        rows[n - 1] = f"E,{GOOD},bad\n"
+        with pytest.raises(RowError) as err:
+            parse_csv((HEADER + "".join(rows)).encode())
+        assert err.value.line == n - 1  # row n - 3 sits on line n - 1
+
+    def test_line_number_counts_quoted_newlines(self):
+        data = f'{HEADER}"E\n1",{GOOD},{GOOD}\n\nE2,{GOOD},bad\n'.encode()
+        with pytest.raises(RowError) as err:
+            parse_csv(data)
+        assert err.value.line == 5
+
+    def test_short_row_is_a_row_error(self):
+        with pytest.raises(RowError) as err:
+            parse_csv(f"{HEADER}E1,{GOOD},{GOOD}\nE1,{GOOD}\n".encode())
+        assert err.value.line == 3
+
+    def test_empty_event_id_is_a_row_error(self):
+        with pytest.raises(RowError, match="event_id") as err:
+            parse_csv(f"{HEADER}E1,{GOOD},{GOOD}\n  ,{GOOD},{GOOD}\n".encode())
+        assert err.value.line == 3
+
+    def test_first_bad_row_wins_within_a_chunk(self):
+        data = f"{HEADER}E1,{GOOD},{GOOD}\nE1,{GOOD},bad\n,{GOOD},{GOOD}\n".encode()
+        with pytest.raises(RowError, match="timestamp") as err:
+            parse_csv(data)
+        assert err.value.line == 3
+
 
 def make_records(event_id, tca, days_before_tca):
-    from datetime import timedelta
+    return [(event_id, tca, tca - timedelta(days=d)) for d in days_before_tca]
 
-    return [
-        CdmRecord(event_id=event_id, tca=tca, creation_date=tca - timedelta(days=d))
-        for d in days_before_tca
-    ]
+
+def assemble(rows, window_days=7.0):
+    return assemble_events(parse_csv(csv_bytes(rows)), window_days)
 
 
 class TestAssembleEvents:
     def test_window_coordinates(self):
         records = make_records("E1", utc(2023, 1, 10), [6, 4])
-        events = assemble_events(records, 7.0)
+        events = assemble(records)
         assert len(events) == 1
         assert events[0].arrivals == pytest.approx((1.0, 3.0))
 
     def test_duplicates_collapsed(self):
         records = make_records("E1", utc(2023, 1, 10), [4, 4])
-        events = assemble_events(records, 7.0)
+        events = assemble(records)
         assert events[0].arrivals == pytest.approx((3.0,))
 
     def test_out_of_window_record_dropped(self):
         records = make_records("E1", utc(2023, 1, 10), [9, 4])
-        events = assemble_events(records, 7.0)
+        events = assemble(records)
         assert events[0].arrivals == pytest.approx((3.0,))
 
     def test_creation_after_tca_rejected(self):
         records = make_records("E1", utc(2023, 1, 10), [-1])
-        assert assemble_events(records, 7.0) == []
+        assert assemble(records) == []
 
     def test_latest_tca_wins(self):
-        from datetime import timedelta
-
-        early = CdmRecord("E1", utc(2023, 1, 10), utc(2023, 1, 6))
-        late = CdmRecord("E1", utc(2023, 1, 11), utc(2023, 1, 8))
-        events = assemble_events([early, late], 7.0)
+        early = ("E1", utc(2023, 1, 10), utc(2023, 1, 6))
+        late = ("E1", utc(2023, 1, 11), utc(2023, 1, 8))
+        events = assemble([early, late])
         assert events[0].tca == utc(2023, 1, 11)
         # 5 and 3 days before the winning TCA
         assert events[0].arrivals == pytest.approx((2.0, 4.0))
@@ -98,20 +183,82 @@ class TestAssembleEvents:
         records = make_records("E1", utc(2023, 1, 10), [6, 5, 4]) + make_records(
             "E2", utc(2023, 1, 12), [3, 2]
         )
-        baseline = assemble_events(records, 7.0)
+        baseline = assemble(records)
         rng = random.Random(0)
         for _ in range(5):
             shuffled = records[:]
             rng.shuffle(shuffled)
-            assert assemble_events(shuffled, 7.0) == baseline
+            assert assemble(shuffled) == baseline
 
     def test_csv_round_trip(self):
         records = make_records("E1", utc(2023, 1, 10), [6.5, 4.25, 1]) + make_records(
             "E2", utc(2023, 2, 1), [3, 0.5]
         )
-        events = assemble_events(records, 7.0)
+        events = assemble(records)
         reparsed = assemble_events(parse_csv(events_to_csv(events).encode()), 7.0)
         assert reparsed == events
+
+    def test_window_times_match_timedelta_arithmetic(self):
+        tca = utc(2023, 1, 10)
+        records = [("E1", tca, tca - timedelta(seconds=s)) for s in (1, 7, 3601, 86399, 600001)]
+        window = 7.0
+        expected = tuple(sorted(window - (tca - c).total_seconds() / 86400.0 for _, _, c in records))
+        assert assemble(records, window)[0].arrivals == expected
+
+    def test_drop_warnings_keep_text_and_order(self, caplog):
+        records = (
+            make_records("E2", utc(2023, 1, 12), [8, -1, 2])
+            + make_records("E1", utc(2023, 1, 10), [-0.5, 10, 3, 10])
+        )
+        with caplog.at_level(logging.WARNING, logger="cadence.ingest"):
+            events = assemble(records)
+        assert [e.event_id for e in events] == ["E1", "E2"]
+        assert caplog.messages == [
+            "event E1: dropping CDM created 2022-12-31T00:00:00Z before window start",
+            "event E1: dropping CDM created 2023-01-10T12:00:00Z after TCA 2023-01-10T00:00:00Z",
+            "event E2: dropping CDM created 2023-01-04T00:00:00Z before window start",
+            "event E2: dropping CDM created 2023-01-13T00:00:00Z after TCA 2023-01-12T00:00:00Z",
+        ]
+
+
+def simulated_events(n):
+    model = PolynomialIntensity((2.0, -1.2, 0.0, 0.04), clamp_floor=1e-6)
+    window = ObservationWindow(0.0, 7.0)
+    events = []
+    for k in range(n):
+        arrivals = simulate_thinning(model, window, 1000 + k)
+        if arrivals:
+            tca = utc(2030, 1, 1) + timedelta(days=k, seconds=37 * k)
+            events.append(ConjunctionEvent(f"SYN{k:03d}", tca, 7.0, tuple(arrivals)))
+    return events
+
+
+def strftime_csv(events):
+    """events_to_csv one row at a time with datetime arithmetic."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["event_id", "tca", "creation_date"])
+    for event in events:
+        for t in event.arrivals:
+            created = event.tca - timedelta(seconds=round((event.window_days - t) * 86400.0))
+            writer.writerow([event.event_id, stamp(event.tca), stamp(created)])
+    return out.getvalue()
+
+
+class TestEventsToCsv:
+    def test_matches_per_row_strftime(self, monkeypatch):
+        events = simulated_events(200)
+        assert len(events) > 150
+        expected = strftime_csv(events)
+        assert events_to_csv(events) == expected
+        monkeypatch.setattr(ingest, "CHUNK_EVENTS", 7)  # many chunks, one partial
+        assert events_to_csv(events) == expected
+
+    def test_quoted_event_id_round_trips(self):
+        event = ConjunctionEvent('A,"B"', utc(2023, 1, 10), 7.0, (1.0, 3.5))
+        text = events_to_csv([event])
+        assert text.splitlines()[1] == '"A,""B""",2023-01-10T00:00:00Z,2023-01-04T00:00:00Z'
+        assert assemble_events(parse_csv(text.encode()), 7.0) == [event]
 
 
 class TestSplitAtCutoff:
@@ -162,4 +309,4 @@ class TestEventInvariants:
 
     def test_event_id_required(self):
         with pytest.raises(ValueError):
-            CdmRecord("", utc(2023, 1, 2), utc(2023, 1, 1))
+            parse_csv(csv_bytes([("", utc(2023, 1, 2), utc(2023, 1, 1))]))
