@@ -19,16 +19,15 @@ from datetime import datetime, timedelta, timezone
 
 import numpy as np
 
-from .errors import CadenceError
+from .errors import CadenceError, FormatError
 from .evaluation import MetricsReport, score_runs
 from .inference import SamplerConfig
 from .ingest import ConjunctionEvent, assemble_events, cutoff_time, events_to_csv, parse_csv
-from .intensity import PolynomialIntensity, RidgeConfig, bin_events, fit_ridge, prior_from_fit
+from .intensity import (CLAMP_FLOOR, PolynomialIntensity, RidgeConfig, bin_events, fit_ridge,
+                        prior_from_fit)
 from .point_process import ArrivalPrediction, ObservationWindow, simulate_thinning
 from .prediction import MEAN, NAIVE, NHPP, PredictionRun, predict_event_sequence, runs_at_cutoff
 from .priors import GaussianPrior
-
-logger = logging.getLogger(__name__)
 
 SEED_ENV_VAR = "CADENCE_SEED"
 SIMULATION_EPOCH = datetime(2030, 1, 1, tzinfo=timezone.utc)
@@ -55,8 +54,6 @@ class RunConfig:
     chains: int = 4
     draws: int = 1000
     seed: int = 0
-    sigma_floor: float = 1e-3
-    clamp_floor: float = 1e-6
 
     def __post_init__(self):
         for f in fields(self):
@@ -66,7 +63,7 @@ class RunConfig:
                 raise ValueError(f"{f.name} must be {f.type}, got {value!r}")
             if isinstance(value, float) and not math.isfinite(value):
                 raise ValueError(f"{f.name} must be finite")
-        for name in ("window_days", "cutoff_days_before_tca", "sigma_floor", "clamp_floor"):
+        for name in ("window_days", "cutoff_days_before_tca"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if self.cutoff_days_before_tca >= self.window_days:
@@ -94,8 +91,6 @@ def _add_config_flags(parser: argparse.ArgumentParser):
     group.add_argument("--draws", type=int)
     group.add_argument("--seed", type=int,
                        help=f"RNG seed (default 0; {SEED_ENV_VAR} overrides the default)")
-    group.add_argument("--sigma-floor", type=float, dest="sigma_floor")
-    group.add_argument("--clamp-floor", type=float, dest="clamp_floor")
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
@@ -150,7 +145,7 @@ def _load_events(path: str, window_days: float) -> list[ConjunctionEvent]:
 
 def cmd_simulate(config: RunConfig, n_events: int, true_beta: list[float], out_path: str):
     """Generate synthetic events from a known intensity and write them as CSV."""
-    model = PolynomialIntensity(tuple(true_beta), clamp_floor=config.clamp_floor)
+    model = PolynomialIntensity(tuple(true_beta))
     window = ObservationWindow(0.0, config.window_days)
     seed_rng = np.random.default_rng(config.seed)
     event_seeds = seed_rng.integers(0, 2**63 - 1, size=max(n_events, 1))
@@ -173,7 +168,7 @@ def cmd_simulate(config: RunConfig, n_events: int, true_beta: list[float], out_p
     sidecar = {
         "beta": list(true_beta),
         "window_days": config.window_days,
-        "clamp_floor": config.clamp_floor,
+        "clamp_floor": CLAMP_FLOOR,
         "n_events_requested": n_events,
         "n_events_written": len(events),
         "seed": config.seed,
@@ -188,7 +183,7 @@ def fit_prior_from_events(config: RunConfig, events: list[ConjunctionEvent]) -> 
         raise CadenceError("no events to fit a prior from")
     ridge_config = config.ridge()
     per_event = fit_ridge(bin_events(events, ridge_config.bin_width), ridge_config)
-    return prior_from_fit(per_event, sigma_floor=config.sigma_floor)
+    return prior_from_fit(per_event)
 
 
 def cmd_fit_prior(config: RunConfig, train_csv: str, out_prior_json: str):
@@ -271,7 +266,10 @@ def cmd_predict(
     Per-event failures are reported inline and do not abort the run.
     """
     with open(prior_json, encoding="utf-8") as handle:
-        prior = GaussianPrior.from_json(handle.read())
+        try:
+            prior = GaussianPrior.from_json(handle.read())
+        except ValueError as exc:
+            raise FormatError(f"{prior_json}: {exc}") from exc
     events = _load_events(data_csv, config.window_days)
     if not events:
         raise CadenceError(f"no events found in {data_csv}")
@@ -280,16 +278,14 @@ def cmd_predict(
     for event in events:
         if sequence:
             try:
-                runs = predict_event_sequence(event, prior, config.sampler(),
-                                              clamp_floor=config.clamp_floor)
+                runs = predict_event_sequence(event, prior, config.sampler())
             except CadenceError as exc:
                 runs = [PredictionRun(event_id=event.event_id, model=NHPP,
                                       cutoff=0.0, window_days=event.window_days,
                                       note=str(exc))]
         else:
             t_c = cutoff_time(event, config.cutoff_days_before_tca)
-            runs, samples = runs_at_cutoff(event, prior, t_c, config.sampler(),
-                                           clamp_floor=config.clamp_floor)
+            runs, samples = runs_at_cutoff(event, prior, t_c, config.sampler())
             if dump_posterior is not None and samples is not None:
                 _dump_posterior_csv(dump_posterior, event.event_id, samples)
         lines.extend(json.dumps(_run_to_json(r)) for r in runs)
@@ -378,6 +374,21 @@ def cmd_plot_data(config: RunConfig, runs_jsonl: str, event_id: str, out_csv: st
     print(f"wrote plot data for {event_id} to {out_csv}")
 
 
+# Argument types: argparse turns their ValueError into "invalid <name> value", exit 2.
+def finite_floats(text: str) -> list[float]:
+    values = [float(v) for v in text.split(",")]
+    if not all(map(math.isfinite, values)):
+        raise ValueError(text)
+    return values
+
+
+def non_negative_int(text: str) -> int:
+    count = int(text)
+    if count < 0:
+        raise ValueError(text)
+    return count
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cadence",
@@ -387,8 +398,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="generate synthetic events as ingestion CSV")
-    p.add_argument("--n-events", type=int, required=True)
-    p.add_argument("--beta", required=True,
+    p.add_argument("--n-events", type=non_negative_int, required=True)
+    p.add_argument("--beta", type=finite_floats, required=True,
                    help="comma-separated true coefficients, ascending power")
     p.add_argument("--out", required=True)
     _add_config_flags(p)
@@ -434,8 +445,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.exit(EXIT_USAGE, f"invalid configuration: {exc}\n")
     try:
         if args.command == "simulate":
-            beta = [float(v) for v in args.beta.split(",")]
-            cmd_simulate(config, args.n_events, beta, args.out)
+            cmd_simulate(config, args.n_events, args.beta, args.out)
         elif args.command == "fit-prior":
             cmd_fit_prior(config, args.train, args.out)
         elif args.command == "predict":

@@ -121,11 +121,9 @@ def run_benchmark(
     prior: GaussianPrior,
     cutoff_days_before_tca: float,
     sampler: SamplerConfig,
-    clamp_floor: float = 1e-6,
 ) -> list[MetricsReport]:
     """Predict every event at a fixed cutoff and score the runs."""
     runs = []
     for event in events:
-        runs += runs_at_cutoff(event, prior, cutoff_time(event, cutoff_days_before_tca),
-                               sampler, clamp_floor=clamp_floor)[0]
+        runs += runs_at_cutoff(event, prior, cutoff_time(event, cutoff_days_before_tca), sampler)[0]
     return score_runs(runs)

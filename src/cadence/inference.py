@@ -8,7 +8,8 @@ the mode, and a Student-t proposal fitted there stays fixed for every
 draw.  Each chain draws its randomness from its own child of the seed, and
 one log-density call evaluates every chain's proposals.  Split R-hat and
 effective sample size are computed for every coefficient and gate nothing:
-``prediction`` logs a warning on a high R-hat, and ESS is reported only.
+``prediction`` logs a warning on a high R-hat, and ESS is only stored on
+``PosteriorSamples``; no output carries it.
 """
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .intensity import ClampedPolynomials, bernstein_matrix
+from .intensity import CLAMP_FLOOR, ClampedPolynomials, bernstein_matrix
 from .priors import GaussianPrior
 
 LOG_SQRT_TWO_PI = 0.5 * math.log(2.0 * math.pi)
@@ -78,7 +79,6 @@ def make_log_posterior(
     prior: GaussianPrior,
     arrivals: list[float],
     t_c: float,
-    clamp_floor: float = 1e-6,
 ) -> Callable[[np.ndarray], np.ndarray]:
     """Log-posterior closure given the history observed on [0, t_c].
 
@@ -110,12 +110,11 @@ def make_log_posterior(
             return lp
         product = states @ design
         integral = product[:, -1]
-        crossing = product[:, :dim].min(axis=1) < clamp_floor
+        crossing = product[:, :dim].min(axis=1) < CLAMP_FLOOR
         if crossing.any():
-            integral[crossing] = ClampedPolynomials(states[crossing], clamp_floor,
-                                                    0.0, t_c).integral(0.0, t_c)
+            integral[crossing] = ClampedPolynomials(states[crossing], 0.0, t_c).integral(0.0, t_c)
         lam_points = product[:, dim:-1]  # in place: a call holds one (k, arrivals) array
-        np.log(np.maximum(lam_points, clamp_floor, out=lam_points), out=lam_points)
+        np.log(np.maximum(lam_points, CLAMP_FLOOR, out=lam_points), out=lam_points)
         return lp + lam_points.sum(axis=1) - integral
 
     return density

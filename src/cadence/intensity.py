@@ -1,8 +1,8 @@
 """Polynomial intensity family, its exact integral, event binning, and ridge fits.
 
 The intensity lambda(t) = beta_0 + beta_1 t + ... + beta_m t^m is clamped
-below at a small positive floor so that rates and log-likelihoods stay
-finite.  Integrals of the clamped rate are exact: the sign changes of
+below at the fixed floor ``CLAMP_FLOOR`` so that rates and log-likelihoods
+stay finite.  Integrals of the clamped rate are exact: the sign changes of
 p - floor split an interval into pieces on which the rate is either the
 polynomial or the floor.  One array root finder (``_sign_cuts``) cuts
 every row of a batch at once, skipped where the Bernstein coefficients
@@ -25,7 +25,8 @@ import scipy.linalg
 from .ingest import ConjunctionEvent
 from .priors import GaussianPrior
 
-DEFAULT_CLAMP_FLOOR = 1e-6
+CLAMP_FLOOR = 1e-6  # the rate's lower clamp: keeps log-rates finite
+SIGMA_FLOOR = 1e-3  # least prior scale pooled from per-event fits
 ROOT_MAX_ITER = 100  # bisection alone would narrow a 7-day bracket past 1e-28 days
 # A root found to this (relative) step moves an integral by about
 # |p'| (1e-9 |r|)^2 / 2: below rounding.
@@ -37,15 +38,12 @@ class PolynomialIntensity:
     """Clamped polynomial rate, coefficients in ascending power order."""
 
     coefficients: tuple[float, ...]
-    clamp_floor: float = DEFAULT_CLAMP_FLOOR
 
     def __post_init__(self):
         # Plain floats in a tuple: the model is hashable and compares by value.
         object.__setattr__(self, "coefficients", tuple(map(float, self.coefficients)))
         if len(self.coefficients) == 0:
             raise ValueError("at least one coefficient required")
-        if self.clamp_floor <= 0:
-            raise ValueError("clamp_floor must be positive")
 
     @property
     def degree(self) -> int:
@@ -99,7 +97,7 @@ class RidgeConfig:
 def intensity_on_grid(model: PolynomialIntensity, t: np.ndarray) -> np.ndarray:
     """Clamped intensity evaluated on an array of times (Horner ordering)."""
     raw = np.polynomial.polynomial.polyval(t, model.coefficients)
-    return np.maximum(raw, model.clamp_floor)
+    return np.maximum(raw, CLAMP_FLOOR)
 
 
 def bernstein_matrix(n_coeffs: int, lo: float, hi: float) -> np.ndarray:
@@ -201,15 +199,15 @@ def _sign_cuts(coeffs, a: float, b: float) -> np.ndarray:
     return cuts[:, : inside.sum(axis=1).max(initial=0)]
 
 
-def clamped_maximum(coeffs, floor: float, a: float, b: float) -> float:
-    """Maximum of max(p, floor) over [a, b], a <= b: at an end or where p' changes sign."""
+def clamped_maximum(coeffs, a: float, b: float) -> float:
+    """Maximum of max(p, CLAMP_FLOOR) over [a, b], a <= b: at an end or where p' changes sign."""
     coeffs = np.asarray(coeffs, dtype=float)
     points = np.concatenate([[a, b], _sign_cuts(coeffs[1:] * np.arange(1, len(coeffs)), a, b)[0]])
-    return max(floor, float(np.polynomial.polynomial.polyval(points, coeffs).max()))
+    return max(CLAMP_FLOOR, float(np.polynomial.polynomial.polyval(points, coeffs).max()))
 
 
 class ClampedPolynomials:
-    """Rates max(p_k(t), floor) on [lo, hi] for polynomials p_k, coefficients (n, d+1) ascending.
+    """Rates max(p_k(t), CLAMP_FLOOR) on [lo, hi], p_k's coefficients (n, d+1) ascending.
 
     Each row's knots are found once: a row whose Bernstein coefficients of
     p_k - floor on [lo, hi] share a sign keeps that sign there and has
@@ -217,11 +215,10 @@ class ClampedPolynomials:
     over any [a, b] inside the span are then exact and batched over rows.
     """
 
-    def __init__(self, coeffs, floor: float, lo: float, hi: float):
+    def __init__(self, coeffs, lo: float, hi: float):
         self.coeffs = np.atleast_2d(np.asarray(coeffs, dtype=float))
-        self.floor = float(floor)
         self.lo, self.hi = float(lo), float(hi)
-        shifted = self.coeffs - self.floor * (np.arange(self.coeffs.shape[1]) == 0)
+        shifted = self.coeffs - CLAMP_FLOOR * (np.arange(self.coeffs.shape[1]) == 0)
         bernstein = shifted @ bernstein_matrix(shifted.shape[1], self.lo, self.hi).T
         mixed = (bernstein.min(axis=1) < 0.0) & (bernstein.max(axis=1) > 0.0)
         cuts = _sign_cuts(shifted[mixed], self.lo, self.hi)
@@ -242,12 +239,12 @@ class ClampedPolynomials:
         points = np.minimum(np.maximum(self._knots, a), b)  # a <= k_1 <= ... <= b
         anti = points * np.polynomial.polynomial.polyval(points, self._scaled.T[:, :, None],
                                                          tensor=False)
-        return np.maximum(np.diff(anti), self.floor * np.diff(points)).sum(axis=1)
+        return np.maximum(np.diff(anti), CLAMP_FLOOR * np.diff(points)).sum(axis=1)
 
 
 def cumulative_intensity(model: PolynomialIntensity, a: float, b: float) -> float:
     """Expected arrival count on [a, b]: exact integral of the clamped rate."""
-    return float(ClampedPolynomials(model.coefficients, model.clamp_floor, a, b).integral(a, b)[0])
+    return float(ClampedPolynomials(model.coefficients, a, b).integral(a, b)[0])
 
 
 def bin_events(events: list[ConjunctionEvent], bin_width: float) -> BinnedCounts:
@@ -310,20 +307,18 @@ def fit_ridge(binned: BinnedCounts, config: RidgeConfig) -> np.ndarray:
     return beta.reshape(y.shape[:-1] + (config.degree + 1,))
 
 
-def prior_from_fit(per_event_coefficients, sigma_floor: float = 1e-3) -> GaussianPrior:
+def prior_from_fit(per_event_coefficients) -> GaussianPrior:
     """Pool per-event coefficient fits, shape (n_events, n_coeffs), into Normal priors.
 
     mu is the sample mean; sigma the unbiased sample standard deviation,
-    floored at sigma_floor (a single event gives the floor everywhere).
+    floored at SIGMA_FLOOR (a single event gives the floor everywhere).
     """
-    if sigma_floor <= 0:
-        raise ValueError("sigma_floor must be positive")
     mat = np.asarray(per_event_coefficients, dtype=float)
     if mat.ndim != 2 or len(mat) == 0:
         raise ValueError("need one or more coefficient vectors of the same length")
     mu = mat.mean(axis=0)
     if mat.shape[0] > 1:
-        sigma = np.maximum(mat.std(axis=0, ddof=1), sigma_floor)
+        sigma = np.maximum(mat.std(axis=0, ddof=1), SIGMA_FLOOR)
     else:
-        sigma = np.full(mat.shape[1], sigma_floor)
+        sigma = np.full(mat.shape[1], SIGMA_FLOOR)
     return GaussianPrior(mu=tuple(map(float, mu)), sigma=tuple(map(float, sigma)))

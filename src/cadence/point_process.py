@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .intensity import (
+    CLAMP_FLOOR,
     ClampedPolynomials,
     PolynomialIntensity,
     clamped_maximum,
@@ -82,7 +83,7 @@ def log_likelihood(
 @functools.lru_cache(maxsize=1)
 def thinning_rate_bound(model: PolynomialIntensity, window: ObservationWindow) -> float:
     """Thinning bound: exact maximum of the clamped rate, cached for the last (model, window)."""
-    return clamped_maximum(model.coefficients, model.clamp_floor, window.start, window.end)
+    return clamped_maximum(model.coefficients, window.start, window.end)
 
 
 def simulate_thinning(
@@ -123,13 +124,7 @@ class MixtureSurvival:
     costs one polynomial evaluation more.
     """
 
-    def __init__(
-        self,
-        draws: np.ndarray,
-        t_c: float,
-        horizon: float,
-        clamp_floor: float = 1e-6,
-    ):
+    def __init__(self, draws: np.ndarray, t_c: float, horizon: float):
         draws = np.asarray(draws, dtype=float)
         if draws.ndim != 2 or draws.shape[0] == 0:
             raise ValueError("draws must be a non-empty 2-D array of coefficients")
@@ -137,7 +132,7 @@ class MixtureSurvival:
             raise ValueError("horizon must be positive")
         self.t_c = float(t_c)
         self.horizon = float(horizon)
-        self._rates = ClampedPolynomials(draws, clamp_floor, self.t_c, self.t_c + self.horizon)
+        self._rates = ClampedPolynomials(draws, self.t_c, self.t_c + self.horizon)
         self._per_draw = np.ones(len(draws))  # each draw's survival at the last u evaluated
 
     def __call__(self, u: float) -> float:
@@ -150,7 +145,7 @@ class MixtureSurvival:
     def _density(self, u: float, per_draw) -> float:
         """Mixture density of the waiting time: mean over draws of rate(t_c + u) * survival(u)."""
         rate = np.polynomial.polynomial.polyval(self.t_c + u, self._rates.coeffs.T)
-        return float((np.maximum(rate, self._rates.floor) * per_draw).mean())
+        return float((np.maximum(rate, CLAMP_FLOOR) * per_draw).mean())
 
     def quantile(self, level: float, at_horizon: float | None = None) -> float | None:
         """Waiting time u with survival(u) == level, or None beyond the horizon.
@@ -186,12 +181,7 @@ def _newton_step(u: float, value: float, density: float, level: float, lo: float
     return step if lo < step < hi else 0.5 * (lo + hi)
 
 
-def mixture_next_arrival(
-    draws: np.ndarray,
-    t_c: float,
-    horizon: float,
-    clamp_floor: float = 1e-6,
-) -> ArrivalPrediction:
+def mixture_next_arrival(draws: np.ndarray, t_c: float, horizon: float) -> ArrivalPrediction:
     """Predict the next arrival from posterior coefficient draws.
 
     The mixture survival averages each draw's void probability.  The point
@@ -199,7 +189,7 @@ def mixture_next_arrival(
     0.025 survival levels.  Censored when the survival at the horizon
     still exceeds one half ("no arrival expected before the horizon").
     """
-    survival = MixtureSurvival(draws, t_c, horizon, clamp_floor=clamp_floor)
+    survival = MixtureSurvival(draws, t_c, horizon)
     at_horizon = survival(horizon)
     censored = at_horizon > 0.5
 

@@ -46,7 +46,6 @@ def posterior_for_event(
     history: list[float],
     t_c: float,
     sampler: SamplerConfig,
-    clamp_floor: float = 1e-6,
 ) -> PosteriorSamples:
     """Sample the coefficient posterior given the history observed on [0, t_c].
 
@@ -57,7 +56,7 @@ def posterior_for_event(
     """
     key = json.dumps([sampler.seed, event_id, t_c]).encode()
     seed = int.from_bytes(hashlib.sha256(key).digest()[:8], "little")
-    density = make_log_posterior(prior, history, t_c, clamp_floor=clamp_floor)
+    density = make_log_posterior(prior, history, t_c)
     samples = sample_posterior(density, prior.mu, prior.sigma, replace(sampler, seed=seed))
     worst = max(samples.r_hat)
     if worst > RHAT_THRESHOLD:
@@ -71,7 +70,6 @@ def runs_at_cutoff(
     prior: GaussianPrior,
     t_c: float,
     sampler: SamplerConfig,
-    clamp_floor: float = 1e-6,
 ) -> tuple[list[PredictionRun], PosteriorSamples | None]:
     """The NHPP, naive and mean runs for one event at window time ``t_c``.
 
@@ -88,10 +86,8 @@ def runs_at_cutoff(
 
     try:
         history, future = split_at_time(event, t_c)
-        samples = posterior_for_event(event.event_id, prior, history, t_c, sampler,
-                                      clamp_floor=clamp_floor)
-        prediction = mixture_next_arrival(samples.flat_draws(), t_c,
-                                          event.window_days - t_c, clamp_floor=clamp_floor)
+        samples = posterior_for_event(event.event_id, prior, history, t_c, sampler)
+        prediction = mixture_next_arrival(samples.flat_draws(), t_c, event.window_days - t_c)
     except (CadenceError, ValueError) as exc:
         return [run(m, note=str(exc)) for m in MODEL_ORDER], None
     actual = future[0] if future else None
@@ -124,7 +120,6 @@ def predict_event_sequence(
     event: ConjunctionEvent,
     prior: GaussianPrior,
     sampler: SamplerConfig,
-    clamp_floor: float = 1e-6,
 ) -> list[PredictionRun]:
     """Sequentially predict each arrival from the ones before it.
 
@@ -138,5 +133,5 @@ def predict_event_sequence(
         raise InsufficientHistoryError("sequence prediction needs at least 2 arrivals")
     runs: list[PredictionRun] = []
     for t_c in arrivals[:-1]:
-        runs += runs_at_cutoff(event, prior, t_c, sampler, clamp_floor=clamp_floor)[0]
+        runs += runs_at_cutoff(event, prior, t_c, sampler)[0]
     return runs

@@ -5,6 +5,8 @@ import json
 import math
 from dataclasses import dataclass
 
+from .errors import FormatError
+
 
 @dataclass(frozen=True)
 class GaussianPrior:
@@ -14,6 +16,8 @@ class GaussianPrior:
     sigma: tuple[float, ...]
 
     def __post_init__(self):
+        if not self.mu:
+            raise ValueError("at least one coefficient required")
         if len(self.mu) != len(self.sigma):
             raise ValueError("mu and sigma must have the same length")
         if not all(math.isfinite(v) for v in self.mu + self.sigma):
@@ -35,12 +39,20 @@ class GaussianPrior:
 
     @classmethod
     def from_json(cls, text: str) -> "GaussianPrior":
+        """Inverse of ``to_json``; a missing or mistyped field raises FormatError naming it."""
         payload = json.loads(text)
-        mu = tuple(float(v) for v in payload["mu"])
-        sigma = tuple(float(v) for v in payload["sigma"])
-        if len(mu) != int(payload["degree"]) + 1:
-            raise ValueError("coefficient count must equal degree + 1")
-        return cls(mu=mu, sigma=sigma)
+        if not isinstance(payload, dict):
+            raise FormatError(f"expected a JSON object, got {type(payload).__name__}")
+        missing = sorted({"degree", "mu", "sigma"} - payload.keys())
+        if missing:
+            raise FormatError(f"missing field(s) {', '.join(missing)}")
+        degree, mu, sigma = payload["degree"], payload["mu"], payload["sigma"]
+        for name, values in (("mu", mu), ("sigma", sigma)):
+            if not isinstance(values, list) or not all(type(v) in (int, float) for v in values):
+                raise FormatError(f"field {name!r} must be a list of numbers, got {values!r}")
+        if type(degree) is not int or len(mu) != degree + 1:
+            raise FormatError(f"field 'degree' must be the integer len(mu) - 1, got {degree!r}")
+        return cls(mu=tuple(map(float, mu)), sigma=tuple(map(float, sigma)))
 
 
 # Degree-3 defaults extracted from historical LEO screening data; usable

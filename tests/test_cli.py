@@ -4,19 +4,22 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import cadence
-from cadence.cli import main
+from cadence.cli import RunConfig, main
 from cadence.evaluation import run_benchmark
 from cadence.inference import SamplerConfig
 from cadence.ingest import assemble_events, parse_csv
 from cadence.priors import GaussianPrior
 
 FAST = ["--chains", "2", "--draws", "200"]
+FLOAT_FLAGS = {"window_days": "--window-days", "cutoff_days_before_tca": "--cutoff",
+               "alpha": "--alpha", "bin_width": "--bin-width"}
 
 
 def run_cli(*argv):
@@ -33,12 +36,25 @@ class TestSimulate:
         assert mean_count == pytest.approx(14.0, abs=1.0)
         truth = json.loads((tmp_path / "sim.csv.truth.json").read_text())
         assert truth["beta"] == [2.0, 0.0, 0.0, 0.0]
+        assert truth["clamp_floor"] == 1e-6
 
     def test_zero_events_header_only(self, tmp_path):
         out = tmp_path / "empty.csv"
         assert run_cli("simulate", "--n-events", "0", "--beta", "1,0",
                        "--out", str(out)) == 0
         assert out.read_text() == "event_id,tca,creation_date\n"
+
+    @pytest.mark.parametrize("n_events, beta", [("3", "nan,1"), ("3", "1,x"), ("3", ""),
+                                                ("-4", "1,0")],
+                             ids=["non-finite-beta", "non-numeric-beta", "empty-beta",
+                                  "negative-n-events"])
+    def test_bad_argument_is_usage_error(self, tmp_path, n_events, beta):
+        # Rejected before the CSV or its sidecar is written.
+        with pytest.raises(SystemExit) as err:
+            run_cli("simulate", "--n-events", n_events, "--beta", beta,
+                    "--out", str(tmp_path / "sim.csv"))
+        assert err.value.code == 2
+        assert list(tmp_path.iterdir()) == []
 
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -138,6 +154,24 @@ class TestPredictAndEvaluate:
                        "--prior", str(pipeline / "nope.json"),
                        "--out", str(pipeline / "x.jsonl"), *FAST)
         assert code == 1
+
+    @pytest.mark.parametrize("text, field", [
+        ('{"degree": 1, "sigma": [1.0, 1.0]}', "mu"),
+        ("[1, 2]", "JSON object"),
+        ('{"degree": 1, "mu": [1.0, 0.0], "sigma": 1.0}', "sigma"),
+        ('{"degree": 1.5, "mu": [1.0, 0.0], "sigma": [1.0, 1.0]}', "degree"),
+        ('{"degree": -1, "mu": [], "sigma": []}', "coefficient"),
+    ], ids=["missing-mu", "list", "scalar-sigma", "non-integer-degree", "no-coefficients"])
+    def test_malformed_prior_is_one_line_error(self, pipeline, tmp_path, capsys, text, field):
+        prior = tmp_path / "prior.json"
+        prior.write_text(text)
+        out = tmp_path / "runs.jsonl"
+        assert run_cli("predict", "--data", str(pipeline / "data.csv"), "--prior", str(prior),
+                       "--out", str(out), *FAST) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(prior) in err and field in err
+        assert not out.exists()
 
     def test_insufficient_history_reported_inline(self, tmp_path):
         data = tmp_path / "thin.csv"
@@ -386,11 +420,14 @@ class TestConfigResolution:
                     "--out", str(tmp_path / "x.csv"), "--cutoff", "9.0")
         assert err.value.code == 2
 
-    @pytest.mark.parametrize("flag", [("--chains", "1"), ("--clamp-floor", "nan"),
+    @pytest.mark.parametrize("flag", [("--chains", "1"), ("--cutoff", "0"),
                                       ("--alpha", "inf"), ("--draws", "0"),
-                                      ("--chains", "2", "--draws", "10")])
+                                      ("--chains", "2", "--draws", "10")]
+                             + [(FLOAT_FLAGS[f.name], value) for f in fields(RunConfig)
+                                if f.type == "float" for value in ("nan", "inf")])
     def test_bad_setting_is_usage_error(self, tmp_path, flag):
-        # Rejected before any file is read or written.
+        # Rejected before any file is read or written; every float setting
+        # has a flag, and a non-finite value is rejected.
         with pytest.raises(SystemExit) as err:
             run_cli("predict", "--data", str(tmp_path / "data.csv"),
                     "--prior", str(tmp_path / "prior.json"),
@@ -416,13 +453,17 @@ class TestConfigResolution:
                        "--out", str(tmp_path / "x.csv"), "--config", str(config)) == 0
 
     def test_warmup_is_a_usage_error(self, tmp_path):
+        # Retired settings, as flags and as config keys: warmup, and the two
+        # numerical floors, which are now constants.
         config = tmp_path / "config.json"
-        config.write_text(json.dumps({"warmup": 1000}))
-        for flag in (["--warmup", "1000"], ["--config", str(config)]):
-            with pytest.raises(SystemExit) as err:
-                run_cli("simulate", "--n-events", "1", "--beta", "1,0",
-                        "--out", str(tmp_path / "x.csv"), *flag)
-            assert err.value.code == 2
+        for key, value in {"warmup": 1000, "clamp_floor": 1e-6, "sigma_floor": 1e-3}.items():
+            config.write_text(json.dumps({key: value}))
+            for flag in (["--" + key.replace("_", "-"), str(value)], ["--config", str(config)]):
+                with pytest.raises(SystemExit) as err:
+                    run_cli("simulate", "--n-events", "1", "--beta", "1,0",
+                            "--out", str(tmp_path / "x.csv"), *flag)
+                assert err.value.code == 2
+                assert not (tmp_path / "x.csv").exists()
 
     def test_help_available(self, capsys):
         for command in ("simulate", "fit-prior", "predict", "evaluate", "plot-data"):

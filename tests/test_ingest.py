@@ -225,7 +225,7 @@ class TestAssembleEvents:
 
 
 def simulated_events(n):
-    model = PolynomialIntensity((2.0, -1.2, 0.0, 0.04), clamp_floor=1e-6)
+    model = PolynomialIntensity((2.0, -1.2, 0.0, 0.04))
     window = ObservationWindow(0.0, 7.0)
     events = []
     for k in range(n):

@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 from cadence.ingest import ConjunctionEvent
 from cadence.point_process import ObservationWindow, simulate_thinning
 from cadence.intensity import (
+    CLAMP_FLOOR,
+    SIGMA_FLOOR,
     BinnedCounts,
     ClampedPolynomials,
     PolynomialIntensity,
@@ -52,7 +54,7 @@ class TestEvalIntensity:
 
     def test_clamp(self):
         model = PolynomialIntensity((-1.0, 0.0, 0.0, 0.0))
-        assert eval_intensity(model, 5.0) == model.clamp_floor
+        assert eval_intensity(model, 5.0) == CLAMP_FLOOR
 
     @given(
         st.lists(st.floats(-5, 5), min_size=1, max_size=5),
@@ -60,7 +62,7 @@ class TestEvalIntensity:
     )
     def test_positivity(self, coeffs, t):
         model = PolynomialIntensity(tuple(coeffs))
-        assert eval_intensity(model, t) >= model.clamp_floor
+        assert eval_intensity(model, t) >= CLAMP_FLOOR
 
 
 class TestCumulativeIntensity:
@@ -76,7 +78,7 @@ class TestCumulativeIntensity:
         model = PolynomialIntensity(HISTORICAL_MEANS)
         oracle, _ = scipy.integrate.quad(
             lambda t: max(np.polynomial.polynomial.polyval(t, HISTORICAL_MEANS),
-                          model.clamp_floor),
+                          CLAMP_FLOOR),
             0.0, 1.0,
         )
         assert oracle == pytest.approx(8.1075, abs=1e-6)
@@ -85,7 +87,7 @@ class TestCumulativeIntensity:
     def test_floor_lower_bound(self):
         model = PolynomialIntensity((-10.0,))
         value = cumulative_intensity(model, 0.0, 4.0)
-        assert value >= model.clamp_floor * 4.0 * (1 - 1e-12)
+        assert value >= CLAMP_FLOOR * 4.0 * (1 - 1e-12)
 
     def test_reversed_interval_errors(self):
         with pytest.raises(ValueError):
@@ -132,16 +134,16 @@ class TestClampedPolynomials:
     @example(coeffs=[0.0, 1.0, -2.0, 2.6e-183], x=0.0, y=1.0)  # negligible leading term
     def test_matches_adaptive_quadrature(self, coeffs, x, y):
         a, b = sorted((x, y))
-        floor = 1e-6
+        floor = CLAMP_FLOOR
 
         def rate(t):
             return max(np.polynomial.polynomial.polyval(t, coeffs), floor)
 
         oracle, _ = scipy.integrate.quad(rate, a, b, points=floor_crossings(coeffs, floor, a, b)
                                          or None, epsabs=0.0, epsrel=1e-12, limit=200)
-        value = ClampedPolynomials(coeffs, floor, a, b).integral(a, b)[0]
+        value = ClampedPolynomials(coeffs, a, b).integral(a, b)[0]
         assert value == pytest.approx(oracle, rel=1e-9, abs=1e-12)
-        model = PolynomialIntensity(tuple(coeffs), floor)
+        model = PolynomialIntensity(tuple(coeffs))
         assert cumulative_intensity(model, a, b) == pytest.approx(oracle, rel=1e-9, abs=1e-12)
 
     @given(
@@ -158,16 +160,16 @@ class TestClampedPolynomials:
         # Any degree, with a leading term down to rounding next to the rest.
         coeffs = [*coeffs[:-1], coeffs[-1] * lead]
         a, b = sorted((x, y))
-        floor = 1e-6
+        floor = CLAMP_FLOOR
 
         def rate(t):
             return max(np.polynomial.polynomial.polyval(t, coeffs), floor)
 
         oracle, _ = scipy.integrate.quad(rate, a, b, points=floor_crossings(coeffs, floor, a, b)
                                          or None, epsabs=0.0, epsrel=1e-12, limit=200)
-        value = ClampedPolynomials(coeffs, floor, a, b).integral(a, b)[0]
+        value = ClampedPolynomials(coeffs, a, b).integral(a, b)[0]
         assert value == pytest.approx(oracle, rel=1e-9, abs=1e-12)
-        model = PolynomialIntensity(tuple(coeffs), floor)
+        model = PolynomialIntensity(tuple(coeffs))
         assert cumulative_intensity(model, a, b) == pytest.approx(oracle, rel=1e-9, abs=1e-12)
 
     def test_rows_are_independent(self):
@@ -179,8 +181,8 @@ class TestClampedPolynomials:
             [0.96, -2.0, 1.0, 0.0],  # (t - 1)^2 - 0.04 crosses the floor near 0.8 and 1.2
             [-1.0, 0.2, 0.0, 0.0],  # below the floor throughout
         ])
-        batch = ClampedPolynomials(coeffs, 1e-6, 0.0, 2.5).integral(0.5, 2.0)
-        single = [ClampedPolynomials(row, 1e-6, 0.0, 2.5).integral(0.5, 2.0)[0] for row in coeffs]
+        batch = ClampedPolynomials(coeffs, 0.0, 2.5).integral(0.5, 2.0)
+        single = [ClampedPolynomials(row, 0.0, 2.5).integral(0.5, 2.0)[0] for row in coeffs]
         assert batch == pytest.approx(single, rel=1e-15)
         assert batch[:3] == pytest.approx([1.5, 1.5e-6, (2.0**4 - 0.5**4) / 4], rel=1e-12)
         for value, row in zip(batch, coeffs):
@@ -188,7 +190,7 @@ class TestClampedPolynomials:
             assert value == pytest.approx(single_span, rel=1e-12)
 
     def test_interval_outside_span_rejected(self):
-        rates = ClampedPolynomials([[1.0, -1.0], [0.5, 0.0]], 1e-6, 1.0, 3.0)
+        rates = ClampedPolynomials([[1.0, -1.0], [0.5, 0.0]], 1.0, 3.0)
         assert rates.integral(1.0, 3.0) == pytest.approx([1e-6 * 2.0, 1.0], rel=1e-12)
         for a, b in ((0.5, 2.0), (2.0, 3.5), (2.5, 1.5)):
             with pytest.raises(ValueError):
@@ -230,9 +232,9 @@ class TestClampedPolynomials:
 
     def test_maximum_at_root_of_derivative(self):
         # p(t) = 1 + 3t - t^2 peaks at t = 1.5 with p = 3.25.
-        assert clamped_maximum([1.0, 3.0, -1.0], 1e-6, 0.0, 4.0) == pytest.approx(3.25, rel=1e-15)
-        assert clamped_maximum([1.0, 3.0, -1.0], 1e-6, 0.0, 1.0) == pytest.approx(3.0, rel=1e-15)
-        assert clamped_maximum([-1.0, 0.0], 1e-6, 0.0, 4.0) == 1e-6
+        assert clamped_maximum([1.0, 3.0, -1.0], 0.0, 4.0) == pytest.approx(3.25, rel=1e-15)
+        assert clamped_maximum([1.0, 3.0, -1.0], 0.0, 1.0) == pytest.approx(3.0, rel=1e-15)
+        assert clamped_maximum([-1.0, 0.0], 0.0, 4.0) == 1e-6
 
 
 class TestBinEvents:
@@ -352,26 +354,26 @@ class TestFitRidge:
 
 class TestPriorFromFit:
     def test_two_point_sample(self):
-        prior = prior_from_fit([(0.0, 0.0, 0.0, 0.0), (2.0, 0.0, 0.0, 0.0)], 1e-3)
+        prior = prior_from_fit([(0.0, 0.0, 0.0, 0.0), (2.0, 0.0, 0.0, 0.0)])
         assert prior.mu[0] == pytest.approx(1.0)
         assert prior.sigma[0] == pytest.approx(math.sqrt(2.0))
         assert prior.sigma[1] == 1e-3
-        assert prior_from_fit(np.array([[0.0, 0.0, 0.0, 0.0], [2.0, 0.0, 0.0, 0.0]]), 1e-3) == prior
+        assert prior_from_fit(np.array([[0.0, 0.0, 0.0, 0.0], [2.0, 0.0, 0.0, 0.0]])) == prior
 
     def test_identical_vectors_floored(self):
         v = (1.5, -0.2, 0.3, 0.0)
-        prior = prior_from_fit([v, v, v], 1e-3)
+        prior = prior_from_fit([v, v, v])
         assert prior.mu == pytest.approx(v)
         assert all(s == 1e-3 for s in prior.sigma)
 
     def test_single_event_floored(self):
-        prior = prior_from_fit([(4.0, 1.0)], 0.01)
+        prior = prior_from_fit([(4.0, 1.0)])
         assert prior.mu == pytest.approx((4.0, 1.0))
-        assert prior.sigma == (0.01, 0.01)
+        assert prior.sigma == (SIGMA_FLOOR, SIGMA_FLOOR)
 
     def test_empty_errors(self):
         with pytest.raises(ValueError):
-            prior_from_fit([], 1e-3)
+            prior_from_fit([])
 
 
 class TestPriorSerialization:

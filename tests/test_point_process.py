@@ -100,7 +100,7 @@ class TestSimulateThinning:
         # below the floor mid-window.
         model = PolynomialIntensity((2.0, -1.2, 0.0, 0.04))
         window = ObservationWindow(0.0, 7.0)
-        rate = ClampedPolynomials(model.coefficients, model.clamp_floor, window.start, window.end)
+        rate = ClampedPolynomials(model.coefficients, window.start, window.end)
         total = rate.integral(window.start, window.end)[0]
         transformed = []
         for seed in range(1000):
@@ -144,7 +144,7 @@ class TestThinningRateBound:
         dipping = PolynomialIntensity((2.0, -1.2, 0.0, 0.04))
         peaked = PolynomialIntensity([1, 3, -1])
         assert peaked.coefficients == (1.0, 3.0, -1.0)
-        expected = {model: clamped_maximum(model.coefficients, model.clamp_floor, 0.0, 7.0)
+        expected = {model: clamped_maximum(model.coefficients, 0.0, 7.0)
                     for model in (dipping, peaked)}
         thinning_rate_bound.cache_clear()
         for model in (dipping, dipping, peaked, PolynomialIntensity((1.0, 3.0, -1.0)), dipping):
