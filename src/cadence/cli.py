@@ -25,7 +25,7 @@ from .inference import SamplerConfig
 from .ingest import ConjunctionEvent, assemble_events, cutoff_time, events_to_csv, parse_csv
 from .intensity import (CLAMP_FLOOR, PolynomialIntensity, RidgeConfig, bin_events, fit_ridge,
                         prior_from_fit)
-from .point_process import ArrivalPrediction, ObservationWindow, simulate_thinning
+from .point_process import ArrivalPrediction, ObservationWindow, run_starts, simulate_thinning
 from .prediction import MEAN, NAIVE, NHPP, PredictionRun, predict_event_sequence, runs_at_cutoff
 from .priors import GaussianPrior
 
@@ -273,6 +273,9 @@ def cmd_predict(
     events = _load_events(data_csv, config.window_days)
     if not events:
         raise CadenceError(f"no events found in {data_csv}")
+    if dump_posterior is not None:
+        for event in events:
+            _check_file_stem(event.event_id, dump_posterior)
 
     lines = []
     for event in events:
@@ -293,11 +296,22 @@ def cmd_predict(
     print(f"wrote {len(lines)} prediction records to {out_jsonl}")
 
 
+def _check_file_stem(event_id: str, directory: str):
+    """An event id names its posterior dump: it must stay one file inside ``directory``."""
+    separators = {"/", os.sep, os.altsep} - {None}
+    if event_id in (".", "..") or any(sep in event_id for sep in separators):
+        raise CadenceError(f"event id {event_id!r} cannot name a posterior file in {directory}")
+
+
 def _dump_posterior_csv(directory: str, event_id: str, samples):
+    """One CSV row per draw; a chain's run of equal draws is formatted once."""
     os.makedirs(directory, exist_ok=True)
+    starts = run_starts(samples.draws)
+    texts = [",".join(map(repr, row)) for row in samples.draws[starts].tolist()]
+    runs = (np.cumsum(starts) - 1).reshape(starts.shape)
     rows = ["chain,draw," + ",".join(f"beta{j}" for j in range(samples.dim))]
-    for c, chain in enumerate(samples.draws.tolist()):
-        rows.extend(f"{c},{d},{','.join(map(repr, row))}" for d, row in enumerate(chain))
+    for c, chain in enumerate(runs.tolist()):
+        rows.extend(f"{c},{d},{texts[run]}" for d, run in enumerate(chain))
     _write_atomic(os.path.join(directory, f"{event_id}_posterior.csv"), "\n".join(rows) + "\n")
 
 

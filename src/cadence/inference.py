@@ -112,7 +112,7 @@ def make_log_posterior(
         integral = product[:, -1]
         crossing = product[:, :dim].min(axis=1) < CLAMP_FLOOR
         if crossing.any():
-            integral[crossing] = ClampedPolynomials(states[crossing], 0.0, t_c).integral(0.0, t_c)
+            integral[crossing] = ClampedPolynomials(states[crossing], 0.0, t_c).integral(t_c)
         lam_points = product[:, dim:-1]  # in place: a call holds one (k, arrivals) array
         np.log(np.maximum(lam_points, CLAMP_FLOOR, out=lam_points), out=lam_points)
         return lp + lam_points.sum(axis=1) - integral

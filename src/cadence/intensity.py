@@ -211,8 +211,10 @@ class ClampedPolynomials:
 
     Each row's knots are found once: a row whose Bernstein coefficients of
     p_k - floor on [lo, hi] share a sign keeps that sign there and has
-    none; the others take theirs from one ``_sign_cuts`` call.  Integrals
-    over any [a, b] inside the span are then exact and batched over rows.
+    none; the others take theirs from one ``_sign_cuts`` call.  The
+    antiderivative is evaluated at every knot once too, and each row keeps
+    its integral from lo up to each knot, so an integral over [lo, b] costs
+    one polynomial evaluation per row at b.
     """
 
     def __init__(self, coeffs, lo: float, hi: float):
@@ -227,24 +229,36 @@ class ClampedPolynomials:
         self._knots[:, 0] = self.lo
         self._knots[mixed, 1:-1] = cuts
         self._scaled = self.coeffs / np.arange(1, self.coeffs.shape[1] + 1)  # antiderivative / t
+        self._anti = self._knots * np.polynomial.polynomial.polyval(
+            self._knots, self._scaled.T[:, :, None], tensor=False)
+        # Between knots p - floor keeps one sign, so each piece takes the larger
+        # of the antiderivative's increment and the floor times its length.
+        pieces = np.maximum(np.diff(self._anti), CLAMP_FLOOR * np.diff(self._knots))
+        self._cumulative = np.zeros_like(self._anti)  # integral from lo to each knot
+        np.cumsum(pieces, axis=1, out=self._cumulative[:, 1:])
+        self._row_starts = np.arange(0, self._knots.size, self._knots.shape[1])
 
-    def integral(self, a: float, b: float) -> np.ndarray:
-        """Integral of each clamped rate over [a, b], lo <= a <= b <= hi, shape (n,).
+    def integral(self, b: float) -> np.ndarray:
+        """Integral of each clamped rate over [lo, b], lo <= b <= hi, shape (n,).
 
-        Between knots p - floor keeps one sign, so each piece takes the larger
-        of the antiderivative's increment and the floor times its length.
+        The kept integral up to the last knot below b, plus the piece from
+        that knot to b.  The pieces add left to right, as numpy's row sum of
+        up to seven values does: for a cubic (at most six pieces) the result
+        is, to the bit, the sum of the pieces with the knots clipped to b.
         """
-        if not self.lo <= a <= b <= self.hi:
-            raise ValueError(f"interval [{a}, {b}] is not ordered within [{self.lo}, {self.hi}]")
-        points = np.minimum(np.maximum(self._knots, a), b)  # a <= k_1 <= ... <= b
-        anti = points * np.polynomial.polynomial.polyval(points, self._scaled.T[:, :, None],
-                                                         tensor=False)
-        return np.maximum(np.diff(anti), CLAMP_FLOOR * np.diff(points)).sum(axis=1)
+        if not self.lo <= b <= self.hi:
+            raise ValueError(f"end {b} is not within [{self.lo}, {self.hi}]")
+        # Flat index of the knot that starts each row's piece holding b.
+        start = self._row_starts + np.count_nonzero(self._knots[:, 1:-1] < b, axis=1)
+        knot = self._knots.take(start)
+        anti = b * np.polynomial.polynomial.polyval(b, self._scaled.T)
+        return self._cumulative.take(start) + np.maximum(anti - self._anti.take(start),
+                                                         CLAMP_FLOOR * (b - knot))
 
 
 def cumulative_intensity(model: PolynomialIntensity, a: float, b: float) -> float:
     """Expected arrival count on [a, b]: exact integral of the clamped rate."""
-    return float(ClampedPolynomials(model.coefficients, a, b).integral(a, b)[0])
+    return float(ClampedPolynomials(model.coefficients, a, b).integral(b)[0])
 
 
 def bin_events(events: list[ConjunctionEvent], bin_width: float) -> BinnedCounts:

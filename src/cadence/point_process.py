@@ -114,14 +114,29 @@ def next_arrival_survival(model: PolynomialIntensity, t_c: float, u: float) -> f
     return math.exp(-cumulative_intensity(model, t_c, t_c + u))
 
 
+def run_starts(rows: np.ndarray) -> np.ndarray:
+    """Where each run of equal consecutive rows starts: rows (..., n, k) -> bool (..., n).
+
+    Rows compare by their bits, so 0.0 and -0.0 differ and a nan matches
+    itself: a repeated row gives the same results as its run's first row.
+    """
+    bits = np.ascontiguousarray(rows, dtype=float).view(np.int64)
+    starts = np.ones(bits.shape[:-1], dtype=bool)
+    starts[..., 1:] = (bits[..., 1:, :] != bits[..., :-1, :]).any(axis=-1)
+    return starts
+
+
 class MixtureSurvival:
     """Posterior-mixture survival of the next arrival beyond a cutoff.
 
-    One ``ClampedPolynomials`` over all draws on [t_c, t_c + horizon]:
+    One ``ClampedPolynomials`` over the distinct draws on [t_c, t_c + horizon]:
     survival(u) is the mean over draws of exp(-integral of the rate over
-    [t_c, t_c + u]), exact for every u with no table.  Each evaluation
-    keeps those per-draw survivals, so the mixture density at the same u
-    costs one polynomial evaluation more.
+    [t_c, t_c + u]), exact for every u with no grid.  A rejected
+    Metropolis proposal repeats the draw before it, so each run of equal
+    consecutive draws is integrated once; its value is repeated before the
+    mean, which adds the same numbers in the same order as a mean over
+    every draw.  Each evaluation keeps the per-run survivals, so the
+    mixture density at the same u costs one polynomial evaluation more.
     """
 
     def __init__(self, draws: np.ndarray, t_c: float, horizon: float):
@@ -132,20 +147,22 @@ class MixtureSurvival:
             raise ValueError("horizon must be positive")
         self.t_c = float(t_c)
         self.horizon = float(horizon)
-        self._rates = ClampedPolynomials(draws, self.t_c, self.t_c + self.horizon)
-        self._per_draw = np.ones(len(draws))  # each draw's survival at the last u evaluated
+        starts = run_starts(draws)
+        self._index = np.cumsum(starts) - 1  # each draw's run
+        self._rates = ClampedPolynomials(draws[starts], self.t_c, self.t_c + self.horizon)
+        self._per_run = np.ones(len(self._rates.coeffs))  # each run's survival at the last u
 
     def __call__(self, u: float) -> float:
         if u < 0:
             raise ValueError("look-ahead u must be non-negative")
         u = min(u, self.horizon)
-        self._per_draw = np.exp(-self._rates.integral(self.t_c, self.t_c + u))
-        return float(self._per_draw.mean())
+        self._per_run = np.exp(-self._rates.integral(self.t_c + u))
+        return float(self._per_run.take(self._index).mean())
 
-    def _density(self, u: float, per_draw) -> float:
+    def _density(self, u: float, per_run) -> float:
         """Mixture density of the waiting time: mean over draws of rate(t_c + u) * survival(u)."""
         rate = np.polynomial.polynomial.polyval(self.t_c + u, self._rates.coeffs.T)
-        return float((np.maximum(rate, CLAMP_FLOOR) * per_draw).mean())
+        return float((np.maximum(rate, CLAMP_FLOOR) * per_run).take(self._index).mean())
 
     def quantile(self, level: float, at_horizon: float | None = None) -> float | None:
         """Waiting time u with survival(u) == level, or None beyond the horizon.
@@ -168,7 +185,7 @@ class MixtureSurvival:
                 lo = u
             else:
                 hi = u
-            step = _newton_step(u, value, self._density(u, self._per_draw), level, lo, hi)
+            step = _newton_step(u, value, self._density(u, self._per_run), level, lo, hi)
             if abs(step - u) <= QUANTILE_TOL_DAYS or hi - lo <= QUANTILE_TOL_DAYS:
                 return step
             u = step

@@ -11,10 +11,13 @@ import numpy as np
 import pytest
 
 import cadence
-from cadence.cli import RunConfig, main
+import cadence.cli
+from cadence.cli import RunConfig, _dump_posterior_csv, main
 from cadence.evaluation import run_benchmark
-from cadence.inference import SamplerConfig
-from cadence.ingest import assemble_events, parse_csv
+from cadence.inference import PosteriorSamples, SamplerConfig
+from cadence.ingest import assemble_events, cutoff_time, parse_csv
+from cadence.point_process import run_starts
+from cadence.prediction import runs_at_cutoff
 from cadence.priors import GaussianPrior
 
 FAST = ["--chains", "2", "--draws", "200"]
@@ -213,6 +216,83 @@ class TestPredictAndEvaluate:
                     "--sequence", "--dump-posterior", str(dump), *FAST)
         assert err.value.code == 2
         assert not dump.exists()
+
+
+def posterior_csv_oracle(draws):
+    """The posterior dump of (chains, draws, dim) draws, each row formatted with repr."""
+    lines = ["chain,draw," + ",".join(f"beta{j}" for j in range(draws.shape[2]))]
+    for c, chain in enumerate(draws):
+        for d, row in enumerate(chain):
+            lines.append(f"{c},{d}," + ",".join(repr(float(x)) for x in row))
+    return "\n".join(lines) + "\n"
+
+
+def events_csv(pipeline, tmp_path, renamed):
+    """The pipeline's CSV cut to its first events, each id renamed as ``renamed`` maps it."""
+    header, *lines = (pipeline / "data.csv").read_text().splitlines()
+    kept = [(renamed[line.split(",", 1)[0]], line.split(",", 1)[1]) for line in lines
+            if line.split(",", 1)[0] in renamed]
+    data = tmp_path / "data.csv"
+    data.write_text("\n".join([header] + [f"{i},{rest}" for i, rest in kept]) + "\n")
+    return data
+
+
+class TestPosteriorDump:
+    def test_synthetic_draws_match_repr_oracle(self, tmp_path):
+        rng = np.random.default_rng(5)
+        distinct = rng.normal(size=(12, 3)) * 10.0 ** rng.integers(-300, 300, (12, 3))
+        zeros = np.array([[0.0, 1.0, 5e-324], [-0.0, 1.0, 5e-324], [-0.0, 1.0, 5e-324],
+                          [0.0, -0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, -0.0]])
+        draws = np.stack([
+            distinct[np.sort(rng.integers(0, 12, 30))],  # runs of repeated rows
+            np.repeat(distinct[-1:], 30, axis=0),  # one distinct row, as the chain before ends
+            np.vstack([zeros, zeros[::-1], distinct[rng.integers(0, 12, 18)]]),
+        ])
+        assert run_starts(draws).sum() < 60
+        samples = PosteriorSamples(draws=draws, acceptance=(0.5,) * 3, r_hat=(1.0,) * 3,
+                                   ess=(1.0,) * 3)
+        _dump_posterior_csv(str(tmp_path), "E1", samples)
+        text = (tmp_path / "E1_posterior.csv").read_text()
+        assert text == posterior_csv_oracle(draws)
+        assert "2,1,-0.0,1.0,5e-324\n" in text and "2,3,0.0,-0.0,0.0\n" in text
+
+    def test_cli_dump_matches_repr_oracle(self, pipeline, tmp_path):
+        header, *lines = (pipeline / "data.csv").read_text().splitlines()
+        ids = sorted({line.split(",", 1)[0] for line in lines})[:3]
+        data = events_csv(pipeline, tmp_path, {i: i for i in ids})
+        dump = tmp_path / "dump"
+        assert run_cli("predict", "--data", str(data), "--prior", str(pipeline / "prior.json"),
+                       "--out", str(tmp_path / "runs.jsonl"), "--dump-posterior", str(dump),
+                       *FAST, "--seed", "17") == 0
+        prior = GaussianPrior.from_json((pipeline / "prior.json").read_text())
+        sampler = RunConfig(chains=2, draws=200, seed=17).sampler()
+        events = assemble_events(parse_csv(data.read_bytes()), 7.0)
+        assert sorted(os.listdir(dump)) == [f"{i}_posterior.csv" for i in ids]
+        for event in events:
+            _, samples = runs_at_cutoff(event, prior, cutoff_time(event, 2.5), sampler)
+            assert run_starts(samples.draws).mean() < 0.95  # rejections repeat draws
+            text = (dump / f"{event.event_id}_posterior.csv").read_text()
+            assert text == posterior_csv_oracle(samples.draws)
+
+    @pytest.mark.parametrize("bad_id", ["A/B", "../x", ".", ".."])
+    def test_bad_event_id_fails_before_sampling(self, pipeline, tmp_path, capsys, monkeypatch,
+                                                bad_id):
+        # A good event comes first: nothing is sampled, dumped or written.
+        header, *lines = (pipeline / "data.csv").read_text().splitlines()
+        good, other = sorted({line.split(",", 1)[0] for line in lines})[:2]
+        data = events_csv(pipeline, tmp_path, {good: "AAA", other: bad_id})
+
+        def no_sampling(*args):
+            raise AssertionError("sampled before checking the event ids")
+
+        monkeypatch.setattr(cadence.cli, "runs_at_cutoff", no_sampling)
+        dump, out = tmp_path / "work" / "dump", tmp_path / "work" / "runs.jsonl"
+        assert run_cli("predict", "--data", str(data), "--prior", str(pipeline / "prior.json"),
+                       "--out", str(out), "--dump-posterior", str(dump), *FAST) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and repr(bad_id) in err
+        assert not (tmp_path / "work").exists()
+        assert sorted(os.listdir(tmp_path)) == ["data.csv"]
 
 
 def record(event_id, model, predicted, actual, cutoff=2.5, **extra):

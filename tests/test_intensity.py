@@ -122,6 +122,31 @@ def floor_crossings(coeffs, floor, a, b):
     return sorted(roots + [grid[i] for i in on_grid if values[i - 1] * values[i + 1] < 0])
 
 
+def clipped_piece_sum(rates, a, b):
+    """Oracle: each row's integral over [a, b] from its knots clipped to [a, b], piece by piece.
+
+    The antiderivative is evaluated at every knot, and the pieces are
+    summed with ``sum``, on each call.
+    """
+    points = np.minimum(np.maximum(rates._knots, a), b)
+    scaled = rates.coeffs / np.arange(1, rates.coeffs.shape[1] + 1)
+    anti = points * np.polynomial.polynomial.polyval(points, scaled.T[:, :, None], tensor=False)
+    return np.maximum(np.diff(anti), CLAMP_FLOOR * np.diff(points)).sum(axis=1)
+
+
+def crossing_rows(rng, n, degree, lo, hi):
+    """n rows of floor + s (t - r_1) ... (t - r_degree), roots in [lo, hi], then n random rows."""
+    roots = rng.uniform(lo, hi, (n, degree))
+    products = np.array([np.polynomial.polynomial.polyfromroots(r) for r in roots])
+    products *= rng.choice([-1.0, 1.0], (n, 1)) * rng.uniform(0.1, 3.0, (n, 1))
+    products[:, 0] += CLAMP_FLOOR
+    return np.vstack([products, rng.uniform(-3.0, 3.0, (n, degree + 1))])
+
+
+def bits(values):
+    return np.asarray(values, dtype=float).view(np.int64).tolist()
+
+
 class TestClampedPolynomials:
     @given(
         st.lists(st.floats(-3, 3), min_size=4, max_size=4),
@@ -141,7 +166,7 @@ class TestClampedPolynomials:
 
         oracle, _ = scipy.integrate.quad(rate, a, b, points=floor_crossings(coeffs, floor, a, b)
                                          or None, epsabs=0.0, epsrel=1e-12, limit=200)
-        value = ClampedPolynomials(coeffs, a, b).integral(a, b)[0]
+        value = ClampedPolynomials(coeffs, a, b).integral(b)[0]
         assert value == pytest.approx(oracle, rel=1e-9, abs=1e-12)
         model = PolynomialIntensity(tuple(coeffs))
         assert cumulative_intensity(model, a, b) == pytest.approx(oracle, rel=1e-9, abs=1e-12)
@@ -167,7 +192,7 @@ class TestClampedPolynomials:
 
         oracle, _ = scipy.integrate.quad(rate, a, b, points=floor_crossings(coeffs, floor, a, b)
                                          or None, epsabs=0.0, epsrel=1e-12, limit=200)
-        value = ClampedPolynomials(coeffs, a, b).integral(a, b)[0]
+        value = ClampedPolynomials(coeffs, a, b).integral(b)[0]
         assert value == pytest.approx(oracle, rel=1e-9, abs=1e-12)
         model = PolynomialIntensity(tuple(coeffs))
         assert cumulative_intensity(model, a, b) == pytest.approx(oracle, rel=1e-9, abs=1e-12)
@@ -181,8 +206,8 @@ class TestClampedPolynomials:
             [0.96, -2.0, 1.0, 0.0],  # (t - 1)^2 - 0.04 crosses the floor near 0.8 and 1.2
             [-1.0, 0.2, 0.0, 0.0],  # below the floor throughout
         ])
-        batch = ClampedPolynomials(coeffs, 0.0, 2.5).integral(0.5, 2.0)
-        single = [ClampedPolynomials(row, 0.0, 2.5).integral(0.5, 2.0)[0] for row in coeffs]
+        batch = ClampedPolynomials(coeffs, 0.5, 2.5).integral(2.0)
+        single = [ClampedPolynomials(row, 0.5, 2.5).integral(2.0)[0] for row in coeffs]
         assert batch == pytest.approx(single, rel=1e-15)
         assert batch[:3] == pytest.approx([1.5, 1.5e-6, (2.0**4 - 0.5**4) / 4], rel=1e-12)
         for value, row in zip(batch, coeffs):
@@ -191,10 +216,35 @@ class TestClampedPolynomials:
 
     def test_interval_outside_span_rejected(self):
         rates = ClampedPolynomials([[1.0, -1.0], [0.5, 0.0]], 1.0, 3.0)
-        assert rates.integral(1.0, 3.0) == pytest.approx([1e-6 * 2.0, 1.0], rel=1e-12)
-        for a, b in ((0.5, 2.0), (2.0, 3.5), (2.5, 1.5)):
+        assert rates.integral(3.0) == pytest.approx([1e-6 * 2.0, 1.0], rel=1e-12)
+        assert rates.integral(1.0).tolist() == [0.0, 0.0]
+        for b in (0.5, 1.0 - 1e-12, 3.0 + 1e-12, 3.5, math.nan):
             with pytest.raises(ValueError):
-                rates.integral(a, b)
+                rates.integral(b)
+
+    def test_integral_is_the_clipped_piece_sum_to_the_bit(self):
+        # Up to seven pieces add left to right both ways, so a cubic's
+        # integral from the knot table equals the per-call clipped sum.
+        rng = np.random.default_rng(3)
+        lo, hi = 0.5, 4.5
+        rows = np.vstack([[-6.0 + CLAMP_FLOOR, 11.0, -6.0, 1.0],  # roots 1, 2, 3; turns at 2 -+ 3^-0.5
+                          crossing_rows(rng, 300, 3, lo, hi)])
+        rates = ClampedPolynomials(rows, lo, hi)
+        assert len(set(rates._knots[0])) == rates._knots.shape[1] == 7  # five cuts
+        knots = rates._knots[:4].ravel()
+        for b in (lo, hi, *rng.uniform(lo, hi, 20), *knots, *np.nextafter(knots, hi)):
+            assert bits(rates.integral(b)) == bits(clipped_piece_sum(rates, lo, b))
+        assert bits(rates.integral(lo)) == bits(np.zeros(len(rows)))
+
+    def test_quintic_integral_is_the_clipped_piece_sum_to_rounding(self):
+        # Eight or more pieces: ``sum`` adds them pairwise, the table in order.
+        rng = np.random.default_rng(4)
+        lo, hi = 0.0, 3.0
+        rates = ClampedPolynomials(crossing_rows(rng, 200, 5, lo, hi), lo, hi)
+        assert rates._knots.shape[1] >= 9
+        for b in (lo, hi, *rng.uniform(lo, hi, 20), *rates._knots[:3].ravel()):
+            np.testing.assert_allclose(rates.integral(b), clipped_piece_sum(rates, lo, b),
+                                       rtol=1e-13, atol=0.0)
 
     def test_root_where_newton_lands_on_it(self):
         # From the secant point Newton's steps reach the root from one side; the

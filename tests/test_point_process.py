@@ -24,6 +24,7 @@ from cadence.point_process import (
     log_likelihood,
     mixture_next_arrival,
     next_arrival_survival,
+    run_starts,
     simulate_thinning,
     thinning_rate_bound,
 )
@@ -101,13 +102,13 @@ class TestSimulateThinning:
         model = PolynomialIntensity((2.0, -1.2, 0.0, 0.04))
         window = ObservationWindow(0.0, 7.0)
         rate = ClampedPolynomials(model.coefficients, window.start, window.end)
-        total = rate.integral(window.start, window.end)[0]
+        total = rate.integral(window.end)[0]
         transformed = []
         for seed in range(1000):
             arrivals = simulate_thinning(model, window, seed)
             assert all(a < b for a, b in zip(arrivals, arrivals[1:]))
             assert all(window.start <= t <= window.end for t in arrivals)
-            transformed += [rate.integral(window.start, t)[0] / total for t in arrivals]
+            transformed += [rate.integral(t)[0] / total for t in arrivals]
         assert len(transformed) > 5000
         assert scipy.stats.kstest(transformed, "uniform").pvalue > 1e-4
 
@@ -187,6 +188,42 @@ class CountingSurvival(MixtureSurvival):
     def __call__(self, u):
         self.calls += 1
         return super().__call__(u)
+
+
+class EveryDrawSurvival(MixtureSurvival):
+    """Oracle: the mixture with every draw integrated, repeated or not."""
+
+    def __init__(self, draws, t_c, horizon):
+        super().__init__(draws, t_c, horizon)
+        self._index = np.arange(len(draws))
+        self._rates = ClampedPolynomials(draws, self.t_c, self.t_c + self.horizon)
+        self._per_run = np.ones(len(draws))
+
+
+class TestRepeatedDraws:
+    def test_run_starts_compare_bits(self):
+        nan = math.nan
+        rows = np.array([[[1.0, 2.0], [1.0, 2.0], [0.0, 2.0], [-0.0, 2.0]],
+                         [[-0.0, 2.0], [nan, 1.0], [nan, 1.0], [nan, 1.5]]])
+        assert run_starts(rows).tolist() == [[True, False, True, True], [True, True, False, True]]
+        assert run_starts(rows.reshape(-1, 2)).tolist() == [True, False, True, True,
+                                                            False, True, False, True]
+
+    @pytest.mark.parametrize("repeats", ["runs", "none", "all-equal"])
+    def test_mixture_equals_every_draw_mean_to_the_bit(self, repeats):
+        rng = np.random.default_rng(11)
+        distinct = rng.normal([1.0, 0.0, 0.0, 0.0], [1.0, 0.5, 0.1, 0.01], size=(500, 4))
+        draws = {"runs": np.repeat(distinct, rng.integers(1, 4, 500), axis=0),
+                 "none": distinct,
+                 "all-equal": np.repeat(distinct[:1], 400, axis=0)}[repeats]
+        t_c, horizon = 2.5, 4.5
+        merged, every = MixtureSurvival(draws, t_c, horizon), EveryDrawSurvival(draws, t_c, horizon)
+        assert len(merged._rates.coeffs) == {"runs": 500, "none": 500, "all-equal": 1}[repeats]
+        for u in (0.0, 0.3, 1.7, horizon, 9.0):
+            assert repr(merged(u)) == repr(every(u))
+        for level in (0.975, 0.5, 0.025):
+            assert repr(merged.quantile(level)) == repr(every.quantile(level))
+        assert merged.quantile(0.5) is not None
 
 
 class TestMixtureNextArrival:
