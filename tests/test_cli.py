@@ -228,7 +228,7 @@ def posterior_csv_oracle(draws):
 
 
 def events_csv(pipeline, tmp_path, renamed):
-    """The pipeline's CSV cut to its first events, each id renamed as ``renamed`` maps it."""
+    """The pipeline's CSV cut to the events that ``renamed`` maps, each under its new id."""
     header, *lines = (pipeline / "data.csv").read_text().splitlines()
     kept = [(renamed[line.split(",", 1)[0]], line.split(",", 1)[1]) for line in lines
             if line.split(",", 1)[0] in renamed]
@@ -243,9 +243,10 @@ class TestPosteriorDump:
         distinct = rng.normal(size=(12, 3)) * 10.0 ** rng.integers(-300, 300, (12, 3))
         zeros = np.array([[0.0, 1.0, 5e-324], [-0.0, 1.0, 5e-324], [-0.0, 1.0, 5e-324],
                           [0.0, -0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, -0.0]])
+        runs = distinct[np.sort(rng.integers(0, 12, 30))]  # runs of repeated rows
         draws = np.stack([
-            distinct[np.sort(rng.integers(0, 12, 30))],  # runs of repeated rows
-            np.repeat(distinct[-1:], 30, axis=0),  # one distinct row, as the chain before ends
+            runs,
+            np.repeat(runs[-1:], 30, axis=0),  # one distinct row, the one the chain before ends on
             np.vstack([zeros, zeros[::-1], distinct[rng.integers(0, 12, 18)]]),
         ])
         assert run_starts(draws).sum() < 60
@@ -257,7 +258,7 @@ class TestPosteriorDump:
         assert "2,1,-0.0,1.0,5e-324\n" in text and "2,3,0.0,-0.0,0.0\n" in text
 
     def test_cli_dump_matches_repr_oracle(self, pipeline, tmp_path):
-        header, *lines = (pipeline / "data.csv").read_text().splitlines()
+        _, *lines = (pipeline / "data.csv").read_text().splitlines()
         ids = sorted({line.split(",", 1)[0] for line in lines})[:3]
         data = events_csv(pipeline, tmp_path, {i: i for i in ids})
         dump = tmp_path / "dump"
@@ -278,7 +279,7 @@ class TestPosteriorDump:
     def test_bad_event_id_fails_before_sampling(self, pipeline, tmp_path, capsys, monkeypatch,
                                                 bad_id):
         # A good event comes first: nothing is sampled, dumped or written.
-        header, *lines = (pipeline / "data.csv").read_text().splitlines()
+        _, *lines = (pipeline / "data.csv").read_text().splitlines()
         good, other = sorted({line.split(",", 1)[0] for line in lines})[:2]
         data = events_csv(pipeline, tmp_path, {good: "AAA", other: bad_id})
 
