@@ -297,9 +297,12 @@ def cmd_predict(
 
 
 def _check_file_stem(event_id: str, directory: str):
-    """An event id names its posterior dump: it must stay one file inside ``directory``."""
-    separators = {"/", os.sep, os.altsep} - {None}
-    if event_id in (".", "..") or any(sep in event_id for sep in separators):
+    """An event id names its posterior dump: it must stay one file inside ``directory``.
+
+    A path holds no NUL byte, so an id with one cannot name a file either.
+    """
+    forbidden = {"/", os.sep, os.altsep, "\0"} - {None}
+    if event_id in (".", "..") or any(char in event_id for char in forbidden):
         raise CadenceError(f"event id {event_id!r} cannot name a posterior file in {directory}")
 
 

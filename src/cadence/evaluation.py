@@ -1,14 +1,11 @@
-"""MAE/RMSE metrics, interval coverage, and the paired benchmark harness."""
+"""MAE/RMSE metrics, interval coverage, and the paired scorer of prediction runs."""
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .inference import SamplerConfig
-from .ingest import ConjunctionEvent, cutoff_time
-from .prediction import MEAN, MODEL_ORDER, NAIVE, NHPP, PredictionRun, runs_at_cutoff
-from .priors import GaussianPrior
+from .prediction import MEAN, MODEL_ORDER, NAIVE, NHPP, PredictionRun
 
 
 @dataclass(frozen=True)
@@ -114,16 +111,3 @@ def score_runs(runs: list[PredictionRun]) -> list[MetricsReport]:
             )
         )
     return reports
-
-
-def run_benchmark(
-    events: list[ConjunctionEvent],
-    prior: GaussianPrior,
-    cutoff_days_before_tca: float,
-    sampler: SamplerConfig,
-) -> list[MetricsReport]:
-    """Predict every event at a fixed cutoff and score the runs."""
-    runs = []
-    for event in events:
-        runs += runs_at_cutoff(event, prior, cutoff_time(event, cutoff_days_before_tca), sampler)[0]
-    return score_runs(runs)

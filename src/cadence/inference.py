@@ -25,6 +25,7 @@ from .priors import GaussianPrior
 
 LOG_SQRT_TWO_PI = 0.5 * math.log(2.0 * math.pi)
 MIN_TOTAL_DRAWS = 100  # fewest draws, over all chains, that ``ess`` accepts
+MIN_CHAIN_DRAWS = 4  # fewest draws per chain that split R-hat accepts
 PROPOSAL_DOF = 5.0  # degrees of freedom of the Student-t proposal
 NEWTON_STEPS = 30  # most stencil evaluations in the search for the mode
 NEWTON_TOL = 1e-8  # Newton stops once grad . step (nats) falls below this
@@ -42,6 +43,8 @@ class SamplerConfig:
     def __post_init__(self):
         if self.chains < 2:
             raise ValueError("at least 2 chains required for diagnostics")
+        if self.draws < MIN_CHAIN_DRAWS:
+            raise ValueError(f"at least {MIN_CHAIN_DRAWS} draws per chain required for R-hat")
         if self.chains * self.draws < MIN_TOTAL_DRAWS:
             raise ValueError(f"chains * draws must be at least {MIN_TOTAL_DRAWS} for ESS")
 
@@ -62,17 +65,6 @@ class PosteriorSamples:
     def flat_draws(self) -> np.ndarray:
         """All chains stacked: (chains * draws, dim)."""
         return self.draws.reshape(-1, self.dim)
-
-
-def log_prior(prior: GaussianPrior, beta) -> float:
-    """Sum of independent Normal log-densities of beta under the prior."""
-    beta = np.asarray(beta, dtype=float)
-    mu = np.asarray(prior.mu)
-    sigma = np.asarray(prior.sigma)
-    if beta.shape != mu.shape:
-        raise ValueError("beta length must match the prior")
-    z = (beta - mu) / sigma
-    return float(np.sum(-np.log(sigma) - LOG_SQRT_TWO_PI - 0.5 * z * z))
 
 
 def make_log_posterior(
@@ -228,8 +220,8 @@ def sample_posterior(
 def r_hat(chain_draws: np.ndarray) -> float:
     """Split R-hat: each chain halved, between/within half-chain variances."""
     chain_draws = np.asarray(chain_draws, dtype=float)
-    if chain_draws.ndim != 2 or chain_draws.shape[0] < 2 or chain_draws.shape[1] < 4:
-        raise ValueError("need >= 2 chains with >= 4 draws each")
+    if chain_draws.ndim != 2 or chain_draws.shape[0] < 2 or chain_draws.shape[1] < MIN_CHAIN_DRAWS:
+        raise ValueError(f"need >= 2 chains with >= {MIN_CHAIN_DRAWS} draws each")
     n_half = chain_draws.shape[1] // 2
     halves = np.vstack(
         [chain_draws[:, :n_half], chain_draws[:, n_half : 2 * n_half]]

@@ -8,11 +8,11 @@ polynomial or the floor.  One array root finder (``_sign_cuts``) cuts
 every row of a batch at once, skipped where the Bernstein coefficients
 share a sign; there is no per-row path.  ``ClampedPolynomials`` integrates
 a batch (posterior draws, the sampler's proposals), and
-``cumulative_intensity`` and ``clamped_maximum`` take one polynomial.
+``clamped_maximum`` takes one polynomial.
 
 Training events share one bin grid, so ``bin_events`` counts them as rows
-of one array and ``fit_ridge`` fits every row with one Cholesky
-factorization of their shared Gram matrix.
+of one array and ``fit_ridge`` fits every row with one ``np.linalg.solve``
+of their shared Gram matrix.
 """
 from __future__ import annotations
 
@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .ingest import ConjunctionEvent
 from .priors import GaussianPrior
@@ -256,11 +255,6 @@ class ClampedPolynomials:
                                                          CLAMP_FLOOR * (b - knot))
 
 
-def cumulative_intensity(model: PolynomialIntensity, a: float, b: float) -> float:
-    """Expected arrival count on [a, b]: exact integral of the clamped rate."""
-    return float(ClampedPolynomials(model.coefficients, a, b).integral(b)[0])
-
-
 def bin_events(events: list[ConjunctionEvent], bin_width: float) -> BinnedCounts:
     """Count each event's arrivals in uniform bins over the shared window, one row per event.
 
@@ -294,8 +288,8 @@ def fit_ridge(binned: BinnedCounts, config: RidgeConfig) -> np.ndarray:
 
     Row y minimizes sum_i [y_i - lambda(t_i) dt_i]^2 + alpha * sum_j beta_j^2.
     Every row shares the bins, so all rows share one Gram matrix: one
-    Cholesky factorization solves the normal equations of every training
-    event at once.
+    solve answers the normal equations of every training event at once,
+    and a residual check rejects a solve spoiled by a near-singular system.
     """
     mids = binned.midpoints
     widths = binned.widths
@@ -310,9 +304,8 @@ def fit_ridge(binned: BinnedCounts, config: RidgeConfig) -> np.ndarray:
     gram = design.T @ design + config.alpha * np.eye(config.degree + 1)
     rhs = y.reshape(-1, n_bins) @ design
     try:
-        cho = scipy.linalg.cho_factor(gram)
-        beta = scipy.linalg.cho_solve(cho, rhs.T).T
-    except scipy.linalg.LinAlgError as exc:
+        beta = np.linalg.solve(gram, rhs.T).T
+    except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError(f"singular ridge system: {exc}") from exc
 
     residual = np.linalg.norm(beta @ gram - rhs, axis=1)

@@ -1,10 +1,10 @@
-"""NHPP core: likelihood, thinning simulation, survival and quantiles.
+"""NHPP core: thinning simulation, posterior-mixture survival and its quantiles.
 
 Counts over an interval are Poisson with mean equal to the integrated
 (clamped) intensity; the next-arrival survival from a cutoff is the void
 probability of the interval beyond it.  Integrals and the thinning bound
-are exact (``intensity.ClampedPolynomials`` over posterior draws or one
-rate, ``clamped_maximum`` for the bound): their pieces come from the one
+are exact (``intensity.ClampedPolynomials`` over posterior draws,
+``clamped_maximum`` for the bound): their pieces come from the one
 array root finder of ``intensity``, skipped where the Bernstein
 coefficients share a sign.  Thinning draws an event's candidates as a
 Poisson count of sorted uniform times at the bound, computed once per
@@ -23,7 +23,6 @@ from .intensity import (
     ClampedPolynomials,
     PolynomialIntensity,
     clamped_maximum,
-    cumulative_intensity,
     intensity_on_grid,
 )
 
@@ -61,25 +60,6 @@ class ArrivalPrediction:
     upper_95: float | None = None
 
 
-def log_likelihood(
-    model: PolynomialIntensity, arrivals: list[float], window: ObservationWindow
-) -> float:
-    """Exact NHPP log-likelihood: sum of log-rates minus the integrated rate."""
-    prev = None
-    for t in arrivals:
-        if not (window.start <= t <= window.end):
-            raise ValueError(f"arrival {t} outside window [{window.start}, {window.end}]")
-        if prev is not None and t <= prev:
-            raise ValueError("arrivals must be strictly increasing")
-        prev = t
-    if arrivals:
-        lam = intensity_on_grid(model, np.asarray(arrivals, dtype=float))
-        point_term = float(np.log(lam).sum())
-    else:
-        point_term = 0.0
-    return point_term - cumulative_intensity(model, window.start, window.end)
-
-
 @functools.lru_cache(maxsize=1)
 def thinning_rate_bound(model: PolynomialIntensity, window: ObservationWindow) -> float:
     """Thinning bound: exact maximum of the clamped rate, cached for the last (model, window)."""
@@ -105,13 +85,6 @@ def simulate_thinning(
     times = np.sort(rng.uniform(window.start, window.end, size=n))
     accept = rng.uniform(size=n) * lam_max < intensity_on_grid(model, times)
     return times[accept].tolist()
-
-
-def next_arrival_survival(model: PolynomialIntensity, t_c: float, u: float) -> float:
-    """P(no arrival in (t_c, t_c + u]): exp of minus the integrated rate."""
-    if u < 0:
-        raise ValueError("look-ahead u must be non-negative")
-    return math.exp(-cumulative_intensity(model, t_c, t_c + u))
 
 
 def run_starts(rows: np.ndarray) -> np.ndarray:

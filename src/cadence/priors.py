@@ -54,10 +54,3 @@ class GaussianPrior:
             raise FormatError(f"field 'degree' must be the integer len(mu) - 1, got {degree!r}")
         return cls(mu=tuple(map(float, mu)), sigma=tuple(map(float, sigma)))
 
-
-# Degree-3 defaults extracted from historical LEO screening data; usable
-# when no training set is available to fit fresh priors.
-DEFAULT_PRIOR = GaussianPrior(
-    mu=(8.58, -0.54, -0.60, -0.01),
-    sigma=(3.42, 0.41, 0.37, 0.19),
-)

@@ -11,24 +11,20 @@ from datetime import datetime, timezone
 import numpy as np
 
 from cadence.cli import RunConfig, fit_prior_from_events, main
-from cadence.evaluation import mae, rmse, run_benchmark
+from cadence.evaluation import mae, rmse, score_runs
 from cadence.inference import SamplerConfig, sample_posterior
 from cadence.ingest import ConjunctionEvent
 from cadence.intensity import (
     BinnedCounts,
+    ClampedPolynomials,
     PolynomialIntensity,
     RidgeConfig,
-    cumulative_intensity,
     fit_ridge,
 )
-from cadence.point_process import (
-    ObservationWindow,
-    log_likelihood,
-    next_arrival_survival,
-    simulate_thinning,
-)
+from cadence.point_process import MixtureSurvival, ObservationWindow, simulate_thinning
 from cadence.prediction import predict_event_sequence
 from cadence.priors import GaussianPrior
+from support import fixed_cutoff_runs, likelihood_term
 
 TCA = datetime(2030, 6, 1, tzinfo=timezone.utc)
 
@@ -59,21 +55,20 @@ class TestCriterion1AnalyticOracles:
         checks = []
 
         # Constant rate 2 on [0, 5]: Lambda = 10, log-likelihood in closed form.
-        const = PolynomialIntensity((2.0, 0.0))
-        checks.append(abs(cumulative_intensity(const, 0.0, 5.0) - 10.0))
+        # The survival of one rate is a mixture of one draw.
+        const = (2.0, 0.0)
+        checks.append(abs(ClampedPolynomials(const, 0.0, 5.0).integral(5.0)[0] - 10.0))
         arrivals = [0.5, 1.5, 3.0]
         expected = 3 * math.log(2.0) - 10.0
-        checks.append(abs(log_likelihood(const, arrivals, ObservationWindow(0.0, 5.0))
-                          - expected))
-        checks.append(abs(next_arrival_survival(const, 1.0, 0.7) - math.exp(-1.4)))
+        checks.append(abs(likelihood_term(const, arrivals, 5.0) - expected))
+        checks.append(abs(MixtureSurvival([const], 1.0, 0.7)(0.7) - math.exp(-1.4)))
 
         # Linear rate 1 + 0.5 t on [0, 4]: Lambda = 4 + 0.25 * 16 = 8.
-        linear = PolynomialIntensity((1.0, 0.5))
-        checks.append(abs(cumulative_intensity(linear, 0.0, 4.0) - 8.0))
+        linear = (1.0, 0.5)
+        checks.append(abs(ClampedPolynomials(linear, 0.0, 4.0).integral(4.0)[0] - 8.0))
         expected = math.log(1.5) + math.log(2.0) + math.log(2.5) - 8.0
-        checks.append(abs(log_likelihood(linear, [1.0, 2.0, 3.0],
-                                         ObservationWindow(0.0, 4.0)) - expected))
-        checks.append(abs(next_arrival_survival(linear, 2.0, 1.0) - math.exp(-2.25)))
+        checks.append(abs(likelihood_term(linear, [1.0, 2.0, 3.0], 4.0) - expected))
+        checks.append(abs(MixtureSurvival([linear], 2.0, 1.0)(1.0) - math.exp(-2.25)))
 
         elapsed = time.perf_counter() - start
         worst = max(checks)
@@ -174,7 +169,7 @@ class TestCriterion5SyntheticBenchmark:
         train, test = events[:100], events[100:]
         prior = fit_prior_from_events(RunConfig(), train)
         sampler = SamplerConfig(chains=4, draws=1000, seed=2024)
-        reports = {r.model: r for r in run_benchmark(test, prior, 2.5, sampler)}
+        reports = {r.model: r for r in score_runs(fixed_cutoff_runs(test, prior, 2.5, sampler))}
         elapsed = time.perf_counter() - start
 
         nhpp, naive = reports["nhpp"], reports["naive"]

@@ -13,12 +13,13 @@ import pytest
 import cadence
 import cadence.cli
 from cadence.cli import RunConfig, _dump_posterior_csv, main
-from cadence.evaluation import run_benchmark
+from cadence.evaluation import score_runs
 from cadence.inference import PosteriorSamples, SamplerConfig
 from cadence.ingest import assemble_events, cutoff_time, parse_csv
 from cadence.point_process import run_starts
 from cadence.prediction import runs_at_cutoff
 from cadence.priors import GaussianPrior
+from support import fixed_cutoff_runs
 
 FAST = ["--chains", "2", "--draws", "200"]
 FLOAT_FLAGS = {"window_days": "--window-days", "cutoff_days_before_tca": "--cutoff",
@@ -106,6 +107,18 @@ class TestFitPrior:
         run_cli("fit-prior", "--train", str(data), "--out", str(out))
         prior = GaussianPrior.from_json(out.read_text())
         assert all(s == pytest.approx(1e-3) for s in prior.sigma)
+
+    def test_failed_ridge_solve_is_one_line_error(self, tmp_path, capsys):
+        # Unpenalized degree 13 on 14 bins: the normal equations are numerically
+        # singular, and the solve is rejected instead of written.
+        data = self.simulate(tmp_path, 30)
+        out = tmp_path / "prior.json"
+        capsys.readouterr()
+        assert run_cli("fit-prior", "--train", str(data), "--out", str(out),
+                       "--alpha", "0", "--degree", "13") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
 
     def test_empty_csv_fails(self, tmp_path):
         data = tmp_path / "empty.csv"
@@ -275,7 +288,7 @@ class TestPosteriorDump:
             text = (dump / f"{event.event_id}_posterior.csv").read_text()
             assert text == posterior_csv_oracle(samples.draws)
 
-    @pytest.mark.parametrize("bad_id", ["A/B", "../x", ".", ".."])
+    @pytest.mark.parametrize("bad_id", ["A/B", "../x", ".", "..", "A\x00B"])
     def test_bad_event_id_fails_before_sampling(self, pipeline, tmp_path, capsys, monkeypatch,
                                                 bad_id):
         # A good event comes first: nothing is sampled, dumped or written.
@@ -401,7 +414,7 @@ class TestEvaluateScoring:
         events = assemble_events(parse_csv((pipeline / "data.csv").read_bytes()), 7.0)
         prior = GaussianPrior.from_json((pipeline / "prior.json").read_text())
         sampler = SamplerConfig(chains=2, draws=200, seed=17)
-        library = run_benchmark(events, prior, 2.5, sampler)
+        library = score_runs(fixed_cutoff_runs(events, prior, 2.5, sampler))
         cli = json.loads((pipeline / "report.json").read_text())
         assert [entry["model"] for entry in cli] == [r.model for r in library]
         for mine, theirs in zip(library, cli):
@@ -503,7 +516,8 @@ class TestConfigResolution:
 
     @pytest.mark.parametrize("flag", [("--chains", "1"), ("--cutoff", "0"),
                                       ("--alpha", "inf"), ("--draws", "0"),
-                                      ("--chains", "2", "--draws", "10")]
+                                      ("--chains", "2", "--draws", "10"),
+                                      ("--chains", "50", "--draws", "2")]
                              + [(FLOAT_FLAGS[f.name], value) for f in fields(RunConfig)
                                 if f.type == "float" for value in ("nan", "inf")])
     def test_bad_setting_is_usage_error(self, tmp_path, flag):
@@ -554,11 +568,11 @@ class TestConfigResolution:
             assert "usage" in capsys.readouterr().out
 
 
-def test_cli_import_leaves_slow_scipy_modules_unloaded():
-    # scipy.optimize and scipy.stats each add a sizeable share of start-up time.
+def test_cli_import_loads_no_scipy_module():
+    # The runtime needs numpy only; importing scipy would add to start-up time.
     src = Path(cadence.__file__).resolve().parents[1]
-    code = ("import sys, cadence.cli; "
-            "print(sorted({'scipy.optimize', 'scipy.stats'} & set(sys.modules)))")
+    code = ("import sys, cadence, cadence.cli; "
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
     env = {**os.environ, "PYTHONPATH": str(src)}
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                             text=True, check=True, timeout=120)

@@ -9,13 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from cadence.evaluation import interval_coverage, mae, rmse, run_benchmark, score_runs
+from cadence.evaluation import interval_coverage, mae, rmse, score_runs
 from cadence.inference import SamplerConfig
 from cadence.ingest import ConjunctionEvent
 from cadence.intensity import PolynomialIntensity
 from cadence.point_process import ArrivalPrediction, ObservationWindow, simulate_thinning
 from cadence.prediction import PredictionRun
 from cadence.priors import GaussianPrior
+from support import fixed_cutoff_runs
 
 TCA = datetime(2030, 6, 1, tzinfo=timezone.utc)
 
@@ -174,7 +175,7 @@ class TestRunBenchmark:
         events = self.make_events(beta, 12)
         prior = GaussianPrior(mu=beta, sigma=(0.5, 0.2, 0.05, 0.01))
         sampler = SamplerConfig(chains=2, draws=300, seed=0)
-        reports = run_benchmark(events, prior, 2.5, sampler)
+        reports = score_runs(fixed_cutoff_runs(events, prior, 2.5, sampler))
         assert [r.model for r in reports] == ["nhpp", "naive", "mean"]
         assert len({r.n for r in reports}) == 1
         assert reports[0].coverage95 is not None
@@ -189,7 +190,7 @@ class TestRunBenchmark:
         ]
         prior = GaussianPrior(mu=(1.0, 0.0, 0.0, 0.0), sigma=(0.5, 0.1, 0.05, 0.01))
         sampler = SamplerConfig(chains=2, draws=200, seed=1)
-        reports = run_benchmark(events, prior, 2.5, sampler)
+        reports = score_runs(fixed_cutoff_runs(events, prior, 2.5, sampler))
         naive_report = next(r for r in reports if r.model == "naive")
         mean_report = next(r for r in reports if r.model == "mean")
         assert naive_report.mae == pytest.approx(mean_report.mae)
@@ -201,7 +202,7 @@ class TestRunBenchmark:
         prior = GaussianPrior(mu=(0.1, 0.0, 0.0, 0.0), sigma=(0.05, 0.01, 0.01, 0.01))
         sampler = SamplerConfig(chains=2, draws=200, seed=2)
         with pytest.raises(ValueError, match="zero scorable"):
-            run_benchmark(events, prior, 2.5, sampler)
+            score_runs(fixed_cutoff_runs(events, prior, 2.5, sampler))
 
     def test_short_history_is_skipped(self):
         # S1 has a single arrival before the 4.5-day cutoff: no baselines.
@@ -211,7 +212,7 @@ class TestRunBenchmark:
         ]
         prior = GaussianPrior(mu=(1.0, 0.0, 0.0, 0.0), sigma=(0.5, 0.1, 0.05, 0.01))
         sampler = SamplerConfig(chains=2, draws=200, seed=1)
-        reports = run_benchmark(events, prior, 2.5, sampler)
+        reports = score_runs(fixed_cutoff_runs(events, prior, 2.5, sampler))
         assert [(r.n, r.skipped_count) for r in reports] == [(1, 1)] * 3
 
     @pytest.mark.parametrize("cutoff", [0.0, -1.0, 7.0, 9.0])
@@ -220,4 +221,4 @@ class TestRunBenchmark:
         prior = GaussianPrior(mu=(1.0, 0.0, 0.0, 0.0), sigma=(0.5, 0.1, 0.05, 0.01))
         sampler = SamplerConfig(chains=2, draws=200, seed=1)
         with pytest.raises(ValueError, match="strictly inside the window"):
-            run_benchmark(events, prior, cutoff, sampler)
+            fixed_cutoff_runs(events, prior, cutoff, sampler)

@@ -22,11 +22,12 @@ from cadence.intensity import (
     _sign_cuts,
     bin_events,
     clamped_maximum,
-    cumulative_intensity,
     fit_ridge,
     intensity_on_grid,
     prior_from_fit,
 )
+from cadence.priors import GaussianPrior
+from support import quad_clamped_integral
 
 HISTORICAL_MEANS = (8.58, -0.54, -0.60, -0.01)
 TCA = datetime(2023, 1, 10, tzinfo=timezone.utc)
@@ -65,33 +66,34 @@ class TestEvalIntensity:
         assert eval_intensity(model, t) >= CLAMP_FLOOR
 
 
+def span_integral(coeffs, a, b):
+    """Integral of one clamped rate over the whole span [a, b] of its ``ClampedPolynomials``."""
+    return ClampedPolynomials(coeffs, a, b).integral(b)[0]
+
+
 class TestCumulativeIntensity:
     def test_constant_rectangle(self):
-        model = PolynomialIntensity((1.0,))
-        assert cumulative_intensity(model, 0.0, 3.0) == pytest.approx(3.0, abs=1e-9)
+        assert span_integral([1.0], 0.0, 3.0) == pytest.approx(3.0, abs=1e-9)
 
     def test_linear_analytic(self):
-        model = PolynomialIntensity((0.0, 2.0, 0.0, 0.0))
-        assert cumulative_intensity(model, 0.0, 2.0) == pytest.approx(4.0, abs=1e-6)
+        assert span_integral([0.0, 2.0, 0.0, 0.0], 0.0, 2.0) == pytest.approx(4.0, abs=1e-6)
 
     def test_historical_means_against_quadrature_oracle(self):
-        model = PolynomialIntensity(HISTORICAL_MEANS)
         oracle, _ = scipy.integrate.quad(
             lambda t: max(np.polynomial.polynomial.polyval(t, HISTORICAL_MEANS),
                           CLAMP_FLOOR),
             0.0, 1.0,
         )
         assert oracle == pytest.approx(8.1075, abs=1e-6)
-        assert cumulative_intensity(model, 0.0, 1.0) == pytest.approx(8.1075, abs=1e-4)
+        assert span_integral(HISTORICAL_MEANS, 0.0, 1.0) == pytest.approx(8.1075, abs=1e-4)
 
     def test_floor_lower_bound(self):
-        model = PolynomialIntensity((-10.0,))
-        value = cumulative_intensity(model, 0.0, 4.0)
+        value = span_integral([-10.0], 0.0, 4.0)
         assert value >= CLAMP_FLOOR * 4.0 * (1 - 1e-12)
 
     def test_reversed_interval_errors(self):
         with pytest.raises(ValueError):
-            cumulative_intensity(PolynomialIntensity((1.0,)), 2.0, 1.0)
+            span_integral([1.0], 2.0, 1.0)
 
     @given(
         st.lists(st.floats(-3, 3), min_size=1, max_size=4),
@@ -103,23 +105,9 @@ class TestCumulativeIntensity:
     @example(coeffs=[0.5, -3.0], x=0.0, y=1.0, z=2.0)  # crosses the floor at t = 1/6
     def test_additivity(self, coeffs, x, y, z):
         a, b, c = sorted((x, y, z))
-        model = PolynomialIntensity(tuple(coeffs))
-        whole = cumulative_intensity(model, a, c)
-        parts = cumulative_intensity(model, a, b) + cumulative_intensity(model, b, c)
+        whole = span_integral(coeffs, a, c)
+        parts = span_integral(coeffs, a, b) + span_integral(coeffs, b, c)
         assert whole == pytest.approx(parts, rel=1e-6, abs=1e-9)
-
-
-def floor_crossings(coeffs, floor, a, b):
-    """Where p - floor changes sign on [a, b]: a 10^4-point scan refined by brentq."""
-    def excess(t):
-        return np.polynomial.polynomial.polyval(t, coeffs) - floor
-
-    grid = np.linspace(a, b, 10_001)
-    values = excess(grid)
-    cells = np.flatnonzero(np.sign(values[:-1]) * np.sign(values[1:]) < 0)
-    roots = [scipy.optimize.brentq(excess, grid[i], grid[i + 1], xtol=1e-15) for i in cells]
-    on_grid = np.flatnonzero(values[1:-1] == 0.0) + 1  # a root can fall on a grid point
-    return sorted(roots + [grid[i] for i in on_grid if values[i - 1] * values[i + 1] < 0])
 
 
 def clipped_piece_sum(rates, a, b):
@@ -159,17 +147,8 @@ class TestClampedPolynomials:
     @example(coeffs=[0.0, 1.0, -2.0, 2.6e-183], x=0.0, y=1.0)  # negligible leading term
     def test_matches_adaptive_quadrature(self, coeffs, x, y):
         a, b = sorted((x, y))
-        floor = CLAMP_FLOOR
-
-        def rate(t):
-            return max(np.polynomial.polynomial.polyval(t, coeffs), floor)
-
-        oracle, _ = scipy.integrate.quad(rate, a, b, points=floor_crossings(coeffs, floor, a, b)
-                                         or None, epsabs=0.0, epsrel=1e-12, limit=200)
         value = ClampedPolynomials(coeffs, a, b).integral(b)[0]
-        assert value == pytest.approx(oracle, rel=1e-9, abs=1e-12)
-        model = PolynomialIntensity(tuple(coeffs))
-        assert cumulative_intensity(model, a, b) == pytest.approx(oracle, rel=1e-9, abs=1e-12)
+        assert value == pytest.approx(quad_clamped_integral(coeffs, a, b), rel=1e-9, abs=1e-12)
 
     @given(
         st.lists(st.floats(-3, 3), min_size=1, max_size=6),
@@ -185,17 +164,8 @@ class TestClampedPolynomials:
         # Any degree, with a leading term down to rounding next to the rest.
         coeffs = [*coeffs[:-1], coeffs[-1] * lead]
         a, b = sorted((x, y))
-        floor = CLAMP_FLOOR
-
-        def rate(t):
-            return max(np.polynomial.polynomial.polyval(t, coeffs), floor)
-
-        oracle, _ = scipy.integrate.quad(rate, a, b, points=floor_crossings(coeffs, floor, a, b)
-                                         or None, epsabs=0.0, epsrel=1e-12, limit=200)
         value = ClampedPolynomials(coeffs, a, b).integral(b)[0]
-        assert value == pytest.approx(oracle, rel=1e-9, abs=1e-12)
-        model = PolynomialIntensity(tuple(coeffs))
-        assert cumulative_intensity(model, a, b) == pytest.approx(oracle, rel=1e-9, abs=1e-12)
+        assert value == pytest.approx(quad_clamped_integral(coeffs, a, b), rel=1e-9, abs=1e-12)
 
     def test_rows_are_independent(self):
         coeffs = np.array([
@@ -211,8 +181,7 @@ class TestClampedPolynomials:
         assert batch == pytest.approx(single, rel=1e-15)
         assert batch[:3] == pytest.approx([1.5, 1.5e-6, (2.0**4 - 0.5**4) / 4], rel=1e-12)
         for value, row in zip(batch, coeffs):
-            single_span = cumulative_intensity(PolynomialIntensity(tuple(row)), 0.5, 2.0)
-            assert value == pytest.approx(single_span, rel=1e-12)
+            assert value == pytest.approx(span_integral(row, 0.5, 2.0), rel=1e-12)
 
     def test_interval_outside_span_rejected(self):
         rates = ClampedPolynomials([[1.0, -1.0], [0.5, 0.0]], 1.0, 3.0)
@@ -428,15 +397,12 @@ class TestPriorFromFit:
 
 class TestPriorSerialization:
     def test_json_round_trip(self):
-        from cadence.priors import DEFAULT_PRIOR, GaussianPrior
-
-        text = DEFAULT_PRIOR.to_json()
-        assert GaussianPrior.from_json(text) == DEFAULT_PRIOR
+        prior = GaussianPrior(mu=HISTORICAL_MEANS, sigma=(3.42, 0.41, 0.37, 0.19))
+        text = prior.to_json()
+        assert GaussianPrior.from_json(text) == prior
         assert '"degree": 3' in text
 
     def test_non_finite_values_rejected(self):
-        from cadence.priors import GaussianPrior
-
         text = '{"degree": 1, "mu": [NaN, 0.0], "sigma": [1.0, Infinity]}'
         with pytest.raises(ValueError, match="finite"):
             GaussianPrior.from_json(text)
