@@ -6,18 +6,23 @@ and t = window_days exactly at the TCA, measured in days.
 Rows move as columns.  ``parse_csv`` keeps the event ids as strings and
 converts the timestamps to int64 seconds since the Unix epoch with numpy,
 ``CHUNK_ROWS`` rows per call, so the temporaries stay a few hundred
-kilobytes at any file size.  A chunk is accepted only if formatting it
-back gives its input text; otherwise its rows are checked one by one to
-report the first bad row's line.  ``assemble_events`` groups the columns
-by one sort, and ``events_to_csv`` formats each chunk of events' times
-with one numpy call.
+kilobytes at any file size.  A chunk's stamps are checked at fixed width
+in one array over their bytes: 19 ASCII characters, '-' '-' 'T' ':' ':'
+at offsets 4, 7, 10, 13 and 16 and digits elsewhere.  numpy's parser
+then rejects fields out of range, and the year must lie in 0001-9999.
+A chunk that fails has its rows checked one by one to report the first
+bad row's line.  ``assemble_events`` groups the columns by one sort.
+``events_to_csv`` formats each chunk of events' times with one numpy
+call and writes each event's rows as one string: its 'id,tca,' prefix
+joined to each creation stamp.  The ``csv`` module writes only the ids
+it may quote, and the texts are joined once at the end.
 """
 from __future__ import annotations
 
 import csv
 import io
 import logging
-import warnings
+import re
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from itertools import chain
@@ -29,6 +34,7 @@ from .errors import FormatError, InsufficientHistoryError, RowError
 logger = logging.getLogger(__name__)
 
 _CSV_COLUMNS = ("event_id", "tca", "creation_date")
+_CSV_SPECIAL = re.compile('[,"\r\n]')  # characters csv.writer may quote
 
 SECONDS_PER_DAY = 86400.0
 CHUNK_ROWS = 4096  # rows per numpy conversion when parsing
@@ -39,6 +45,9 @@ _SECOND = timedelta(seconds=1)
 # The years datetime can hold; they also keep the year at four digits.
 _EARLIEST = np.datetime64("0001-01-01T00:00:00", "s")
 _LATEST = np.datetime64("9999-12-31T23:59:59", "s")
+_STAMP_TEMPLATE = np.frombuffer(b"0000-00-00T00:00:00", dtype=np.uint8)
+_STAMP_WIDTH = len(_STAMP_TEMPLATE)
+_STAMP_SPAN = np.where(_STAMP_TEMPLATE == ord("0"), 10, 1).astype(np.uint8)
 
 
 def _epoch_seconds(texts: list[str]) -> np.ndarray | None:
@@ -47,18 +56,22 @@ def _epoch_seconds(texts: list[str]) -> np.ndarray | None:
     Each text may carry surrounding whitespace and one trailing 'Z'.
     """
     raw = [text.strip().removesuffix("Z") for text in texts]
-    try:
-        with warnings.catch_warnings():
-            # numpy warns, and still converts, when a stamp has an offset.
-            warnings.simplefilter("error")
-            stamps = np.array(raw, dtype="datetime64[s]")
-    except (ValueError, UserWarning):
+    joined = "".join(raw)
+    if not joined.isascii() or any(len(text) != _STAMP_WIDTH for text in raw):
         return None
-    # numpy also reads dates, minutes, fractions, spaces, 'NaT' and 'now';
-    # only a stamp that formats back to its own text is exact.  NaT fails
-    # both comparisons.
-    in_range = (stamps >= _EARLIEST) & (stamps <= _LATEST)
-    if not in_range.all() or np.datetime_as_string(stamps, unit="s").tolist() != raw:
+    # Each character lies in [template, template + span): a digit where the
+    # template has '0', the template's own separator elsewhere.  A character
+    # below its template wraps around to a large uint8.
+    chars = np.frombuffer(joined.encode("ascii"), dtype=np.uint8).reshape(-1, _STAMP_WIDTH)
+    if not (chars - _STAMP_TEMPLATE < _STAMP_SPAN).all():
+        return None
+    try:
+        # numpy rejects fields out of range: month 13, day 00, Feb 29 of a
+        # common year, hour 24, minute or second 60.
+        stamps = np.array(raw, dtype="datetime64[s]")
+    except ValueError:
+        return None
+    if not ((stamps >= _EARLIEST) & (stamps <= _LATEST)).all():
         return None
     return stamps.astype(np.int64)
 
@@ -235,10 +248,12 @@ def assemble_events(records: CdmColumns, window_days: float) -> list[Conjunction
 
 
 def events_to_csv(events: list[ConjunctionEvent]) -> str:
-    """Serialize events back to the ingestion CSV schema (second precision)."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(_CSV_COLUMNS)
+    """Serialize events back to the ingestion CSV schema (second precision).
+
+    The bytes ``csv.writer`` would write: an id holding a character it may
+    quote is written by the ``csv`` module, every other id as it is.
+    """
+    texts = [",".join(_CSV_COLUMNS) + "\n"]
     for start in range(0, len(events), CHUNK_EVENTS):
         chunk = events[start:start + CHUNK_EVENTS]
         sizes = [len(event.arrivals) for event in chunk]
@@ -246,11 +261,23 @@ def events_to_csv(events: list[ConjunctionEvent]) -> str:
         window = np.repeat([float(event.window_days) for event in chunk], sizes)
         arrivals = np.fromiter(chain.from_iterable(e.arrivals for e in chunk), float, sum(sizes))
         before_tca = np.rint((window - arrivals) * SECONDS_PER_DAY).astype(np.int64)
-        stamps = _format_seconds(np.concatenate([tca, np.repeat(tca, sizes) - before_tca]))
-        ids = np.repeat(np.array([event.event_id for event in chunk], dtype=object), sizes)
-        tca_texts = np.repeat(stamps[:len(chunk)].astype(object), sizes)
-        writer.writerows(zip(ids, tca_texts, stamps[len(chunk):].tolist()))
-    return out.getvalue()
+        stamps = _format_seconds(np.concatenate([tca, np.repeat(tca, sizes) - before_tca])).tolist()
+        at = len(chunk)  # the creation stamps follow the chunk's TCAs
+        for event, size, tca_text in zip(chunk, sizes, stamps):
+            if size:
+                prefix = f"{_csv_field(event.event_id)},{tca_text},"
+                texts.append(prefix + ("\n" + prefix).join(stamps[at:at + size]) + "\n")
+                at += size
+    return "".join(texts)
+
+
+def _csv_field(text: str) -> str:
+    """``text`` as ``csv.writer`` writes it inside a row."""
+    if _CSV_SPECIAL.search(text) is None:
+        return text
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerow([text])
+    return out.getvalue()[:-1]
 
 
 def split_at_cutoff(

@@ -94,8 +94,15 @@ class RidgeConfig:
 
 
 def intensity_on_grid(model: PolynomialIntensity, t: np.ndarray) -> np.ndarray:
-    """Clamped intensity evaluated on an array of times (Horner ordering)."""
-    raw = np.polynomial.polynomial.polyval(t, model.coefficients)
+    """Clamped intensity evaluated on an array of times.
+
+    Horner's rule in ``np.polynomial.polynomial.polyval``'s own order, so
+    the values are its bits without its fixed cost per call.
+    """
+    c = model.coefficients
+    raw = c[-1] + t * 0
+    for coefficient in c[-2::-1]:
+        raw = coefficient + raw * t
     return np.maximum(raw, CLAMP_FLOOR)
 
 
@@ -289,7 +296,11 @@ def fit_ridge(binned: BinnedCounts, config: RidgeConfig) -> np.ndarray:
     Row y minimizes sum_i [y_i - lambda(t_i) dt_i]^2 + alpha * sum_j beta_j^2.
     Every row shares the bins, so all rows share one Gram matrix: one
     solve answers the normal equations of every training event at once,
-    and a residual check rejects a solve spoiled by a near-singular system.
+    and a Gram matrix whose condition number exceeds 1/eps is rejected:
+    its solution would be set by rounding, though a backward-stable solve
+    still leaves a small residual.  The matrix depends only on the bins,
+    the degree and alpha, never on the counts.  A residual check rejects
+    a solve that failed anyway.
     """
     mids = binned.midpoints
     widths = binned.widths
@@ -302,6 +313,10 @@ def fit_ridge(binned: BinnedCounts, config: RidgeConfig) -> np.ndarray:
     design = powers * widths[:, None]
 
     gram = design.T @ design + config.alpha * np.eye(config.degree + 1)
+    condition = np.linalg.cond(gram)
+    if condition > 1.0 / np.finfo(float).eps:
+        raise np.linalg.LinAlgError(f"ill-conditioned ridge system: condition number "
+                                    f"{condition:.1e} (degree {config.degree}, alpha {config.alpha})")
     rhs = y.reshape(-1, n_bins) @ design
     try:
         beta = np.linalg.solve(gram, rhs.T).T

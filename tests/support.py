@@ -1,7 +1,15 @@
-"""Shared test helpers: quadrature oracles for the clamped rate, the likelihood term, fixed-cutoff runs.
+"""Shared test helpers: oracles for the CSV writer, the timestamp check and the clamped rate.
 
-The oracles use scipy only, never the integral they check.
+The quadrature oracles use scipy only, never the integral they check.
+The CSV oracles are the plain forms the fast paths must match byte for
+byte: ``csv.writer.writerows`` over every row, and a stamp check that
+formats each parsed stamp back and compares it with its text.
 """
+
+import csv
+import io
+import warnings
+from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import scipy.integrate
@@ -55,3 +63,34 @@ def fixed_cutoff_runs(events, prior, cutoff_days_before_tca, sampler):
     return [run for event in events
             for run in runs_at_cutoff(event, prior, cutoff_time(event, cutoff_days_before_tca),
                                       sampler)[0]]
+
+
+def csv_writer_events_to_csv(events):
+    """Oracle for ``ingest.events_to_csv``: one ``csv.writer`` row per arrival."""
+    epoch = datetime(1970, 1, 1, tzinfo=timezone.utc)
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(("event_id", "tca", "creation_date"))
+    for event in events:
+        tca = (event.tca - epoch) // timedelta(seconds=1)
+        before = np.rint((event.window_days - np.array(event.arrivals, dtype=float)) * 86400.0)
+        seconds = np.r_[tca, tca - before.astype(np.int64)].astype("datetime64[s]")
+        tca_text, *created = np.datetime_as_string(seconds, unit="s", timezone="UTC").tolist()
+        writer.writerows((event.event_id, tca_text, text) for text in created)
+    return out.getvalue()
+
+
+def round_trip_epoch_seconds(texts):
+    """Oracle for ``ingest._epoch_seconds``: a stamp is exact when numpy formats it back to its text."""
+    raw = [text.strip().removesuffix("Z") for text in texts]
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy warns, and still converts, at an offset
+            stamps = np.array(raw, dtype="datetime64[s]")
+    except (ValueError, UserWarning):
+        return None
+    in_range = (stamps >= np.datetime64("0001-01-01T00:00:00", "s")) & (
+        stamps <= np.datetime64("9999-12-31T23:59:59", "s"))
+    if not in_range.all() or np.datetime_as_string(stamps, unit="s").tolist() != raw:
+        return None
+    return stamps.astype(np.int64)

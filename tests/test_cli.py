@@ -120,6 +120,20 @@ class TestFitPrior:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("n, beta, seed", [(200, "6,0.5,-0.05,0.002", "5"),
+                                               (30, "1.2,0.25,-0.02,0.001", "3")])
+    def test_ill_conditioned_fit_is_one_line_error(self, tmp_path, capsys, n, beta, seed):
+        # Unpenalized degree 9 on 14 bins: condition number 9.8e19, which the
+        # solve's residual alone does not reveal.
+        data = self.simulate(tmp_path, n, beta=beta, seed=seed)
+        out = tmp_path / "prior.json"
+        capsys.readouterr()
+        assert run_cli("fit-prior", "--train", str(data), "--out", str(out),
+                       "--alpha", "0", "--degree", "9") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ill-conditioned") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_empty_csv_fails(self, tmp_path):
         data = tmp_path / "empty.csv"
         data.write_text("event_id,tca,creation_date\n")

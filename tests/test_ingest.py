@@ -8,6 +8,8 @@ import warnings
 from datetime import datetime, timedelta, timezone
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cadence import ingest
 from cadence.errors import FormatError, InsufficientHistoryError, RowError
@@ -20,6 +22,7 @@ from cadence.ingest import (
 )
 from cadence.intensity import PolynomialIntensity
 from cadence.point_process import ObservationWindow, simulate_thinning
+from support import csv_writer_events_to_csv, round_trip_epoch_seconds
 
 HEADER = "event_id,tca,creation_date\n"
 GOOD = "2023-01-10T00:00:00Z"
@@ -145,6 +148,83 @@ class TestParseCsv:
         assert err.value.line == 3
 
 
+# (stamp, accepted): each next to the stamp a one-character slip would give.
+ORACLE_STAMPS = [
+    ("2023-01-03T12:00", False),  # no seconds
+    ("2023-01-03 12:00:00", False),
+    ("2023-01-03t12:00:00", False),
+    ("2023-01-03T12:00:00.5", False),
+    ("2023-01-03T12:00:00+01:00", False),
+    ("2023-01-03T12:00:00-0500", False),
+    ("now", False),
+    ("NaT", False),
+    ("\uff12\uff10\uff12\uff13-01-03T12:00:00", False),  # full-width digits
+    ("\u0662\u0660\u0662\u0663-01-03T12:00:00", False),  # Arabic-Indic digits
+    ("2023-01-03T12:00:00ZZ", False),
+    ("0000-01-01T00:00:00", False),
+    ("0001-01-01T00:00:00", True),
+    ("9999-12-31T23:59:59", True),
+    ("10000-01-01T00:00:00", False),
+    ("-001-01-01T00:00:00", False),
+    ("2028-02-29T00:00:00", True),
+    ("2029-02-29T00:00:00", False),
+    ("2023-00-10T00:00:00", False),
+    ("2023-13-10T00:00:00", False),
+    ("2023-01-00T00:00:00", False),
+    ("2023-01-03T24:00:00", False),
+    ("2023-01-03T12:60:00", False),
+    ("2023-01-03T12:00:60", False),
+    ("2023/01/03T12:00:00", False),
+    (" 2023-01-03T12:00:00Z\t", True),
+    ("\u20032023-01-03T12:00:00\u00a0", True),  # Unicode whitespace strips too
+]
+
+
+def parse_outcome(data):
+    """parse_csv's columns, or its RowError's line and message."""
+    try:
+        records = parse_csv(data)
+    except RowError as exc:
+        return "RowError", exc.line, str(exc)
+    return records.event_id, records.tca.tolist(), records.creation_date.tolist()
+
+
+class TestTimestampOracle:
+    """The fixed-width check accepts and rejects what a check by formatting back does."""
+
+    @pytest.mark.parametrize("text, accepted", ORACLE_STAMPS)
+    def test_parse_csv_matches_round_trip_check(self, monkeypatch, text, accepted):
+        data = f"{HEADER}E1,{GOOD},{GOOD}\nE2,{text},{GOOD}\nE3,{GOOD},{text}\n".encode()
+        outcome = parse_outcome(data)
+        assert (outcome[0] != "RowError") == accepted
+        monkeypatch.setattr(ingest, "_epoch_seconds", round_trip_epoch_seconds)
+        assert parse_outcome(data) == outcome
+
+    @pytest.mark.parametrize("only_accepted", [False, True])
+    def test_one_chunk_of_every_stamp(self, monkeypatch, only_accepted):
+        texts = [text for text, ok in ORACLE_STAMPS if ok or not only_accepted]
+        rows = [f"E{k},{GOOD},{text}\n" for k, text in enumerate(texts * 3)]
+        data = (HEADER + "".join(rows)).encode()
+        outcome = parse_outcome(data)
+        assert (outcome[0] != "RowError") == only_accepted
+        monkeypatch.setattr(ingest, "_epoch_seconds", round_trip_epoch_seconds)
+        assert parse_outcome(data) == outcome
+
+    @given(
+        st.datetimes(min_value=datetime(1, 1, 1), max_value=datetime(9999, 12, 31, 23, 59, 59)),
+        st.integers(0, 19),
+        st.sampled_from(list("0123456789-T:tZ .+/\uff10\u0660") + [""]),
+        st.booleans(),
+    )
+    def test_one_slip_matches_round_trip_check(self, when, position, char, insert):
+        text = when.replace(microsecond=0).isoformat()
+        slipped = text[:position] + char + text[position + (not insert):]
+        got, want = ingest._epoch_seconds([slipped]), round_trip_epoch_seconds([slipped])
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert got.tolist() == want.tolist()
+
+
 def make_records(event_id, tca, days_before_tca):
     return [(event_id, tca, tca - timedelta(days=d)) for d in days_before_tca]
 
@@ -262,6 +342,65 @@ class TestEventsToCsv:
         text = events_to_csv([event])
         assert text.splitlines()[1] == '"A,""B""",2023-01-10T00:00:00Z,2023-01-04T00:00:00Z'
         assert assemble_events(parse_csv(text.encode()), 7.0) == [event]
+
+
+# Ids that csv.writer quotes and near misses it writes bare (it leaves a '\r' unquoted).
+ODD_IDS = ["A,B", 'say "hi"', '"', ",", "CR\rX", "\r", "LF\nX", "\n", "CRLF\r\nX",
+           " lead", "trail ", "tab\tX", "\u00fcn\u00efc\u00f8d\u00e9 \u0394", "\u2028", ""]
+
+# Every character of ODD_IDS but '\r', plus NUL and a separator str.strip drops.
+ID_CHARACTERS = sorted(set("".join(ODD_IDS) + "aZ09-_\x00\x1c") - {"\r"})
+# Round-trip ids: parse_csv strips ids and rejects an empty one, and a bare
+# '\r' is not valid CSV.
+round_trip_ids = st.text(st.sampled_from(ID_CHARACTERS), min_size=1, max_size=6).filter(
+    lambda text: text == text.strip())
+
+
+@st.composite
+def csv_events(draw, ids=round_trip_ids):
+    events = []
+    for _ in range(draw(st.integers(0, 5))):
+        window = draw(st.sampled_from([7.0, 2.75, 0.3]))
+        arrivals = draw(st.lists(st.floats(0.0, window), max_size=6, unique=True))
+        tca = utc(1990, 1, 1) + timedelta(seconds=draw(st.integers(0, 2 * 10**9)))
+        events.append(ConjunctionEvent(draw(ids), tca, window, tuple(sorted(arrivals))))
+    return events
+
+
+class TestEventsToCsvOracle:
+    """events_to_csv writes the bytes of csv.writer.writerows over every row."""
+
+    def test_simulated_events(self, monkeypatch):
+        events = simulated_events(200)
+        expected = csv_writer_events_to_csv(events)
+        assert events_to_csv(events) == expected
+        monkeypatch.setattr(ingest, "CHUNK_EVENTS", 7)
+        assert events_to_csv(events) == expected
+
+    def test_odd_event_ids(self, monkeypatch):
+        rng = random.Random(4)
+        events = [ConjunctionEvent(event_id, utc(2023, 1, 10) + timedelta(hours=k), 7.0,
+                                   tuple(t / 100 for t in sorted(rng.sample(range(700), 1 + k % 3))))
+                  for k, event_id in enumerate(ODD_IDS)]
+        events.append(ConjunctionEvent("NONE", utc(2023, 1, 10), 7.0, ()))
+        expected = csv_writer_events_to_csv(events)
+        assert events_to_csv(events) == expected
+        monkeypatch.setattr(ingest, "CHUNK_EVENTS", 2)
+        assert events_to_csv(events) == expected
+
+    @given(csv_events(ids=st.sampled_from(ODD_IDS) | st.text(st.sampled_from(ID_CHARACTERS + ["\r"]),
+                                                              max_size=6)))
+    def test_random_events(self, events):
+        assert events_to_csv(events) == csv_writer_events_to_csv(events)
+
+    @given(csv_events())
+    def test_parse_csv_reads_back_every_row(self, events):
+        records = parse_csv(events_to_csv(events).encode())
+        rows = [(e, t) for e in events for t in e.arrivals]
+        assert records.event_id == [e.event_id for e, _ in rows]
+        assert records.tca.tolist() == [seconds(e.tca) for e, _ in rows]
+        assert records.creation_date.tolist() == [
+            seconds(e.tca) - round((e.window_days - t) * 86400.0) for e, t in rows]
 
 
 class TestSplitAtCutoff:

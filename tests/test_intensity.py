@@ -57,6 +57,19 @@ class TestEvalIntensity:
         model = PolynomialIntensity((-1.0, 0.0, 0.0, 0.0))
         assert eval_intensity(model, 5.0) == CLAMP_FLOOR
 
+    @pytest.mark.parametrize("size", [0, 1, 1000])
+    @pytest.mark.parametrize("degree", range(6))
+    def test_bits_of_clamped_polyval(self, degree, size):
+        rng = np.random.default_rng(10 * degree + size)
+        # Mixed signs and magnitudes, on both sides of t = 0 (t * 0 is -0.0 below it).
+        coeffs = rng.standard_normal(degree + 1) * 10.0 ** rng.integers(-3, 3, degree + 1)
+        coeffs[1::2] = -np.abs(coeffs[1::2])
+        t = rng.uniform(-2.0, 9.0, size)
+        expected = np.maximum(np.polynomial.polynomial.polyval(t, coeffs), CLAMP_FLOOR)
+        got = intensity_on_grid(PolynomialIntensity(tuple(coeffs)), t)
+        assert got.shape == expected.shape and got.dtype == expected.dtype
+        assert got.tobytes() == expected.tobytes()
+
     @given(
         st.lists(st.floats(-5, 5), min_size=1, max_size=5),
         st.floats(-10, 10),
@@ -364,6 +377,22 @@ class TestFitRidge:
         for row, e in zip(fitted, events):
             oracle = oracle_ridge(bin_events([e], 0.5), config.alpha, config.degree)
             assert row == pytest.approx(oracle, abs=1e-10)
+
+    @pytest.mark.parametrize("alpha, degree, rejected", [
+        (0.0, 7, False), (0.0, 8, True), (0.0, 9, True), (0.0, 13, True),
+        (1.0, 3, False), (1.0, 9, False), (1.0, 10, True),
+    ])
+    def test_ill_conditioned_gram_rejected(self, alpha, degree, rejected):
+        # The default 14 bins of a 7-day window; the Gram matrix ignores the
+        # counts, so a rejection does not depend on them.
+        binned = BinnedCounts(bin_edges=tuple(np.arange(0.0, 7.5, 0.5)),
+                              counts=np.random.default_rng(degree).poisson(3.0, (5, 14)))
+        config = RidgeConfig(alpha=alpha, degree=degree, bin_width=0.5)
+        if rejected:
+            with pytest.raises(np.linalg.LinAlgError, match="ill-conditioned"):
+                fit_ridge(binned, config)
+        else:
+            assert np.isfinite(fit_ridge(binned, config)).all()
 
     def test_rank_deficient_unpenalized_errors(self):
         binned = BinnedCounts(bin_edges=(0.0, 1.0, 2.0), counts=(1, 2))
